@@ -5,11 +5,14 @@ speed: "log replay increases the recovery time on system failure,
 reducing the fast recovery benefit of using NVM".  This bench crashes
 ThyNVM and the journaling baseline at equivalent points and compares
 the §4.5 recovery cost (reload tables + restore DRAM pages) with the
-journal's committed-log replay cost.
+journal's committed-log replay cost.  Both read what they replay from
+the NVM recovery record alone.
 """
 
 from repro.config import small_test_config
+from repro.core.recovery import read_record
 from repro.harness.systems import build_system
+from repro.mem.controller import DeviceKind
 from repro.harness.tables import format_table
 from repro.units import cycles_to_ns
 from repro.workloads.micro import sliding_trace
@@ -44,16 +47,17 @@ def report() -> dict:
 
     def crash_after_log(stage_index):
         original(stage_index)
-        if stage_index == 1 and ctl._committed_log:
+        if stage_index == 1 and ctl._log_plan:
             ctl.crash()
 
     ctl._on_ckpt_stage = crash_after_log
     journal.engine.run(until=2_000_000)
     if not ctl._crashed:
         ctl.crash()
+    record = read_record(ctl.memctrl.functional_store(DeviceKind.NVM))
     results["journal"] = {
         "recovery_cycles": ctl.recovery_cycles_estimate(),
-        "log_blocks": len(ctl._committed_log or {}),
+        "log_blocks": len(record.log_slots),
     }
 
     rows = [

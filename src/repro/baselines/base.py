@@ -5,7 +5,8 @@ execution, then a checkpointing phase during which the CPU stays
 stalled.  This base class owns the epoch timer, the boundary sequence
 (stall → cache flush → CPU-state write → subclass checkpoint stages →
 commit → resume) and the crash plumbing; subclasses provide the write
-steering, the checkpoint job list and the commit-time metadata flip.
+steering, the checkpoint job list and the commit-time metadata flip,
+which writes their recovery record (:mod:`repro.core.recovery`).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Callable, List, Optional, Tuple
 from ..config import SystemConfig
 from ..core import probes
 from ..core.checkpoint import CheckpointRun, Job
+from ..core.recovery import MetaSnapshot, write_record
 from ..core.regions import HardwareLayout
 from ..cpu.state import CpuState
 from ..errors import CrashedError, SimulationError
@@ -132,7 +134,12 @@ class StopTheWorldController:
         raise NotImplementedError
 
     def _commit_actions(self) -> None:
+        """Flip the committed metadata and write its recovery record."""
         raise NotImplementedError
+
+    def _write_record(self, meta: MetaSnapshot) -> None:
+        """Persist this system's recovery record in the NVM meta slot."""
+        write_record(self.memctrl.functional_store(DeviceKind.NVM), meta)
 
     # --- shared issue helpers ------------------------------------------------------
 

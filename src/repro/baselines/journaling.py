@@ -10,16 +10,20 @@ classic redo-journaling overhead the paper charges this baseline with.
 
 Functionally, a crash after the log commit but before the in-place
 writes finish recovers by replaying the committed log over the home
-image — real journaling semantics, verifiable in tests.
+image — real journaling semantics, verifiable in tests.  The log
+commit is the controller's recovery record (a block -> log-slot map,
+:mod:`repro.core.recovery`), written the moment the log stage is
+durable; the checkpoint commit replaces it with a record with no log.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..config import SystemConfig
 from ..core import probes
 from ..core.checkpoint import Job
+from ..core.recovery import MetaSnapshot, read_record
 from ..mem.controller import DeviceKind, MemoryController
 from ..sim.engine import Engine
 from ..sim.request import Origin
@@ -39,9 +43,6 @@ class JournalingController(StopTheWorldController):
         self._free_slots.reverse()
         # Blocks captured by the current checkpoint's log, in slot order.
         self._log_plan: List[Tuple[int, int]] = []
-        # Functional recovery state: the durably committed log (or None
-        # once the in-place writes are complete).
-        self._committed_log: Optional[Dict[int, bytes]] = None
 
     # --- buffer addressing ----------------------------------------------
 
@@ -51,7 +52,7 @@ class JournalingController(StopTheWorldController):
 
     def _journal_nvm_addr(self, slot: int) -> int:
         """NVM address of the log entry for a buffer slot (region A)."""
-        return self.layout.region_a_base + slot * self.config.block_bytes
+        return self.layout.log_slot_addr(slot)
 
     # --- steering ------------------------------------------------------------
 
@@ -140,16 +141,14 @@ class JournalingController(StopTheWorldController):
             self._capture_log()
 
     def _capture_log(self) -> None:
-        dram = self.memctrl.functional_store(DeviceKind.DRAM)
-        self._committed_log = {
-            block: dram.read(self._slot_addr(slot))
-            for block, slot in self._log_plan
-        }
+        # The log is durable: commit it by recording where it lives.
+        self._write_record(MetaSnapshot(epoch=self.epoch,
+                                        log_slots=dict(self._log_plan)))
 
     def _commit_actions(self) -> None:
         # In-place writes are durable: home now holds the full state and
         # the log is superseded.
-        self._committed_log = None
+        self._write_record(MetaSnapshot(epoch=self.epoch))
         self._buffer.clear()
         self._free_slots = list(range(self.buffer_capacity))
         self._free_slots.reverse()
@@ -159,22 +158,16 @@ class JournalingController(StopTheWorldController):
 
     def recovery_cycles_estimate(self) -> int:
         """§2.2: log replay makes journaling recovery slow — it rewrites
-        every committed-log block in place before the system can run."""
+        every block of the durable log in place before the system can
+        run.  The log length comes from the recovery record."""
         config = self.config
         per_write = ((config.nvm.row_miss_dirty + config.nvm.burst)
                      // config.num_banks)
         per_read = ((config.nvm.row_miss_clean + config.nvm.burst)
                     // config.num_banks)
-        log_blocks = len(self._committed_log or {})
+        record = read_record(self.memctrl.functional_store(DeviceKind.NVM))
         # Read each log entry, write it home.
-        return log_blocks * (per_read + per_write)
-
-    def recovered_block(self, block: int) -> bytes:
-        """Post-crash contents of a physical block (home + log replay)."""
-        nvm = self.memctrl.functional_store(DeviceKind.NVM)
-        if self._committed_log is not None and block in self._committed_log:
-            return self._committed_log[block]
-        return nvm.read(self.layout.home_block_addr(block))
+        return len(record.log_slots) * (per_read + per_write)
 
     def visible_block_bytes(self, block: int) -> bytes:
         """Current software-visible contents (pre-crash)."""

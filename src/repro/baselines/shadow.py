@@ -9,7 +9,8 @@ block still costs a full-page NVM write plus the initial full-page copy.
 
 A per-page region bit (A/B ping-pong, like ThyNVM's checkpoint regions)
 provides the "shadow" indirection; the committed region map plays the
-role of the shadow page table and flips atomically at each commit.
+role of the shadow page table and flips atomically at each commit,
+when it is written as the controller's recovery record.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Dict, List, Set, Tuple
 from ..config import SystemConfig
 from ..core import probes
 from ..core.checkpoint import Job
+from ..core.recovery import MetaSnapshot
 from ..core.regions import REGION_B, other_region
 from ..mem.controller import DeviceKind, MemoryController
 from ..sim.engine import Engine
@@ -191,17 +193,15 @@ class ShadowPagingController(StopTheWorldController):
             self._page_region[page] = dst_region
         self._dirty.clear()
         self._flush_plan = []
+        # The page map is a page table to region B == Home.  Shadow
+        # pages have no DRAM working copy for recovery to restore, so
+        # every entry carries slot 0.
+        self._write_record(MetaSnapshot(
+            epoch=self.epoch,
+            page_regions={page: (region, 0)
+                          for page, region in self._page_region.items()}))
 
-    # --- functional recovery ------------------------------------------------------------
-
-    def recovered_block(self, block: int) -> bytes:
-        """Post-crash contents: the committed shadow copy of the page."""
-        page = self.addresses.page_of_block(block)
-        region = self._committed_region(page)
-        offset = block - self.addresses.blocks_in_page(page).start
-        addr = (self.layout.region_page_addr(region, page)
-                + offset * self.config.block_bytes)
-        return self.memctrl.functional_store(DeviceKind.NVM).read(addr)
+    # --- functional view ----------------------------------------------------------------
 
     def visible_block_bytes(self, block: int) -> bytes:
         kind, hw_addr = self._read_location(block)

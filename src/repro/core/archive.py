@@ -22,6 +22,7 @@ from ..errors import RecoveryError
 from ..mem.controller import DeviceKind
 from ..sim.request import Origin
 from .controller import ThyNVMController
+from .recovery import block_address
 
 
 class ArchivedCheckpoint:
@@ -74,25 +75,12 @@ class CheckpointArchive:
         nvm = ctl.memctrl.functional_store(DeviceKind.NVM)
         image: Dict[int, bytes] = {}
         for block in range(self.num_blocks):
-            page = ctl.addresses.page_of_block(block)
-            page_info = meta.page_regions.get(page)
-            if page_info is not None:
-                region, _slot = page_info
-                offset = block - ctl.addresses.blocks_in_page(page).start
-                addr = (ctl.layout.region_page_addr(region, page)
-                        + offset * ctl.config.block_bytes)
-            else:
-                region = meta.block_regions.get(block)
-                if region is not None:
-                    addr = ctl.layout.region_block_addr(region, block)
-                else:
-                    addr = ctl.layout.home_block_addr(block)
+            addr = block_address(meta, ctl.layout, ctl.addresses, block)
             data = nvm.read(addr)
             if data != bytes(len(data)):
                 image[block] = data
             if self.timed:
-                request_addr = addr
-                ctl._issue_fire_and_forget(DeviceKind.NVM, request_addr,
+                ctl._issue_fire_and_forget(DeviceKind.NVM, addr,
                                            False, Origin.MIGRATION)
         self._checkpoints.append(ArchivedCheckpoint(epoch, image))
         if len(self._checkpoints) > self.max_checkpoints:

@@ -45,7 +45,7 @@ from .coordinator import SchemeCoordinator
 from .epoch import EpochManager
 from .metadata import BlockEntry, GcState, PageEntry
 from .ptt import PageTranslationTable
-from .recovery import MetaSnapshot, RecoveredState, recover
+from .recovery import MetaSnapshot, RecoveredState, recover, write_record
 from .regions import REGION_A, REGION_B, HardwareLayout, other_region
 
 
@@ -139,8 +139,10 @@ class ThyNVMController:
         # §6 explicit persistence: (epoch-to-cover, callback) waiters.
         self._persist_waiters: List[Tuple[int, Callable[[], None]]] = []
 
-        # Durable metadata (models the NVM backup region + commit bit).
-        # Epoch -1: the pristine Home-Region image is always recoverable.
+        # On-chip copy of the last committed metadata.  Its durable twin
+        # is the recovery record in the NVM meta slot (the backup region
+        # + commit bit), written wherever this is assigned.  Epoch -1:
+        # the pristine Home-Region image is always recoverable.
         self.committed_meta: MetaSnapshot = MetaSnapshot(epoch=-1)
 
         self._crashed = False
@@ -454,6 +456,7 @@ class ThyNVMController:
             self.ptt.mark_dirty(pe.page)
         self._aux_plan = []
         self.committed_meta = self._snapshot(self.epochs.active_epoch)
+        self._write_record()
         self._retry_blocked_writes()
         self._release_backpressure()
         probes.notify("aux-commit")
@@ -854,6 +857,7 @@ class ThyNVMController:
 
         # 4. Durable metadata snapshot — the atomic commit (§4.2).
         self.committed_meta = self._snapshot(epoch)
+        self._write_record()
 
         # 5. Scheme switching for the coming epochs (§3.4).
         self._apply_scheme_switches()
@@ -932,6 +936,11 @@ class ThyNVMController:
         return MetaSnapshot(epoch=epoch, block_regions=blocks,
                             page_regions=pages,
                             cpu_state=self._boundary_cpu_state)
+
+    def _write_record(self) -> None:
+        """Persist the committed snapshot as the NVM recovery record."""
+        write_record(self.memctrl.functional_store(DeviceKind.NVM),
+                     self.committed_meta)
 
     # ------------------------------------------------------------------
     # Scheme switching + GC (executed at commit, after the snapshot)
@@ -1229,7 +1238,7 @@ class ThyNVMController:
 
     def crash(self) -> None:
         """Power failure: volatile state (DRAM, queues, live tables,
-        CPU, caches) is lost; NVM and the committed metadata survive."""
+        CPU, caches) is lost; NVM and its recovery record survive."""
         if self._crashed:
             raise CrashedError("controller has already crashed")
         self._crashed = True
@@ -1247,9 +1256,9 @@ class ThyNVMController:
             self.hierarchy.invalidate_all()
 
     def recover(self) -> RecoveredState:
-        """Run the §4.5 recovery procedure against NVM contents."""
-        return recover(self.config, self.layout, self.memctrl,
-                       self.committed_meta)
+        """Run the §4.5 recovery procedure against NVM contents alone
+        (the recovery record, never :attr:`committed_meta`)."""
+        return recover(self.config, self.memctrl)
 
     def restore_from(self, recovered: RecoveredState) -> None:
         """Resume operation after :meth:`recover`: rebuild the live

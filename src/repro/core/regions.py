@@ -97,6 +97,11 @@ class HardwareLayout:
         base = self.region_b_base if region == REGION_B else self.region_a_base
         return base + page * self.page_bytes
 
+    def log_slot_addr(self, slot: int) -> int:
+        """Address of redo-journal log slot ``slot`` (journaling keeps
+        its log in region A, which it never uses as a checkpoint)."""
+        return self.region_a_base + slot * self.block_bytes
+
     def backup_addr(self, offset: int) -> int:
         """Address inside the BTT/PTT/CPU Backup Region."""
         if not 0 <= offset < self.backup_bytes:

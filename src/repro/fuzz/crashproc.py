@@ -5,30 +5,23 @@ to end with a *real* process death, instead of the in-process
 ``controller.crash()`` the fuzz campaign uses:
 
 1. **child** — a subprocess drives the plan's workload against
-   file-backed stores (``store_mode="mmap"``).  A probe observer counts
-   protocol events exactly like the fuzz runner's injector; at the
-   armed site it prints a marker line and ``SIGSTOP``\\ s itself
-   mid-simulation.
+   file-backed stores (``store_mode="mmap"``).  The controllers write
+   their own recovery records into the NVM image's meta slot, exactly
+   as in every other run; the child records nothing itself.  The fuzz
+   runner's injector counts protocol events; at the armed site the
+   child prints a marker line and ``SIGSTOP``\\ s itself mid-simulation.
 2. **kill** — the parent, seeing the marker, delivers ``SIGKILL``.
    Nothing in the child runs again: whatever reached the ``MAP_SHARED``
    file pages is what survives — precisely the process-crash
    persistence model of docs/PERSISTENCE.md.
 3. **recover** — a *fresh* process attaches the NVM image file alone
-   (no controller, no simulation), reads the recovery-metadata record
-   from the store's meta region and rebuilds the software-visible
-   image per system: the §4.5 BTT/PTT lookup for the ThyNVM variants,
-   committed-shadow-page reads for shadow paging, log replay for
-   journaling.
+   (no controller, no simulation) and runs the same recovery every
+   in-process check runs, :func:`~repro.core.recovery.recover_image`:
+   decode the newest record in the meta slot, resolve every block
+   through the §4.5 lookup.
 4. **oracle** — the parent regenerates the golden images from the
-   plan's deterministic schedule and checks the committed-prefix
-   invariant, mirroring :mod:`repro.fuzz.runner`.
-
-The recovery metadata a real system keeps durably in NVM (the
-committed BTT/PTT, the shadow page map, the journal's log directory)
-is serialized by the child into the store's meta region at each point
-the protocol makes it durable — commit for the table-based systems,
-the log-durable stage for journaling — so the recovering process
-depends on nothing but the image file.
+   plan's deterministic schedule and applies the fuzz runner's
+   committed-prefix oracle, allowing one commit to race the kill.
 """
 
 from __future__ import annotations
@@ -48,19 +41,18 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..config import SystemConfig
 from ..core import probes
-from ..core.recovery import MetaSnapshot, visible_block_in_store
-from ..core.regions import REGION_B, HardwareLayout
+from ..core.recovery import recover_image
+from ..core.regions import HardwareLayout
 from ..errors import WorkloadError
-from ..mem.address import AddressMap
 from ..mem.controller import DeviceKind
 from ..mem.mmapstore import MmapStore
 from ..sim.engine import Engine
 from ..sim.request import Origin
 from ..stats.collector import StatsCollector
 from .plan import FUZZ_SYSTEMS, CrashPlan
-from .runner import (_THYNVM_POLICIES, _advance, _build_controller,
+from .runner import (CrashInjector, _advance, _build_controller,
                      _committed_past, _ready_for_boundary, _settle_writes,
-                     fuzz_config)
+                     check_committed_prefix, fuzz_config, golden_images)
 from .workloads import build_schedule, observed_blocks
 
 #: Child stdout protocol: one marker per line, flushed before SIGSTOP.
@@ -102,109 +94,18 @@ def sweep_plans(quick: bool = False) -> List[CrashPlan]:
 # --- child process -------------------------------------------------------
 
 
-class _FreezeInjector:
-    """Counts probe events; at the armed site, halts the process.
+class _FreezeInjector(CrashInjector):
+    """The fuzz runner's injector, but at the armed site it announces
+    readiness on stdout and stops the process so the parent can
+    deliver the real ``SIGKILL`` instead of calling
+    ``controller.crash()``.  Like the in-process crash, the stop is
+    scheduled, so the protocol method that fired the probe unwinds
+    first."""
 
-    Mirrors the fuzz runner's ``CrashInjector``, but instead of calling
-    ``controller.crash()`` it announces readiness on stdout and stops
-    itself so the parent can deliver the real ``SIGKILL``.  The stop is
-    scheduled (never synchronous inside the probe callback) so the
-    protocol method that fired the probe unwinds first, exactly like
-    the in-process injector.
-    """
-
-    def __init__(self, engine: Engine, plan: CrashPlan) -> None:
-        self.engine = engine
-        self.plan = plan
-        self.matched = 0
-        self.armed = False
-
-    def observe(self, kind: str, detail: str) -> None:
-        plan = self.plan
-        if self.armed or kind != plan.site:
-            return
-        if plan.detail and detail != plan.detail:
-            return
-        self.matched += 1
-        if self.matched == plan.occurrence:
-            self.armed = True
-            self.engine.schedule(plan.jitter, self._freeze)
-
-    def _freeze(self) -> None:
+    def _do_crash(self) -> None:
         sys.stdout.write(READY_MARKER + "\n")
         sys.stdout.flush()
         os.kill(os.getpid(), signal.SIGSTOP)
-
-
-class _MetaRecorder:
-    """Serializes recovery metadata into the NVM store's meta region.
-
-    Models what a real controller keeps durably in NVM: the committed
-    BTT/PTT for the ThyNVM variants, the committed page map for shadow
-    paging, the log directory for journaling.  Each record is written
-    at the probe marking the point the protocol makes it durable, so a
-    ``SIGKILL`` at any moment leaves the file with the metadata of the
-    last durable point — the ping-pong meta slots make the record write
-    itself atomic.
-    """
-
-    def __init__(self, system: str, controller: Any,
-                 store: MmapStore) -> None:
-        self.system = system
-        self.controller = controller
-        self.store = store
-
-    def observe(self, kind: str, detail: str) -> None:
-        controller = self.controller
-        if self.system in _THYNVM_POLICIES:
-            if kind in ("commit", "aux-commit"):
-                meta = controller.committed_meta
-                self._persist({
-                    "epoch": meta.epoch,
-                    "block_regions": {
-                        str(block): region
-                        for block, region in meta.block_regions.items()},
-                    "page_regions": {
-                        str(page): [region, slot]
-                        for page, (region, slot)
-                        in meta.page_regions.items()},
-                })
-        elif self.system == "shadow":
-            if kind in ("commit", "aux-commit"):
-                # base._committed flips the page map before notifying.
-                self._persist({
-                    "epoch": controller.epoch - (1 if kind == "commit"
-                                                 else 0),
-                    "page_regions": {
-                        str(page): region
-                        for page, region
-                        in controller._page_region.items()},
-                })
-        elif self.system == "journal":
-            if kind == "stage-done":
-                # The log stage is fully serviced at stage 1 of a main
-                # run (stage 0 is CPU state) or stage 0 of an aux run:
-                # this epoch is now recoverable by replay, before its
-                # commit record lands (the same early-commit rule the
-                # in-process oracle applies).
-                aux = controller._aux_run is not None
-                if detail == ("0" if aux else "1"):
-                    self._persist({
-                        "epoch": controller.epoch,
-                        "log": {str(block): slot
-                                for block, slot in controller._log_plan},
-                    })
-            elif kind in ("commit", "aux-commit"):
-                # In-place writes are durable; the log is superseded.
-                self._persist({
-                    "epoch": controller.epoch - (1 if kind == "commit"
-                                                 else 0),
-                    "log": None,
-                })
-
-    def _persist(self, record: Dict[str, Any]) -> None:
-        payload = json.dumps(record, sort_keys=True).encode("ascii")
-        self.store.write_meta(payload)
 
 
 def run_child(plan: CrashPlan, store_dir: str) -> int:
@@ -225,16 +126,8 @@ def run_child(plan: CrashPlan, store_dir: str) -> int:
     if not isinstance(nvm, MmapStore):
         raise WorkloadError("crashproc child requires mmap-backed stores")
 
-    injector = _FreezeInjector(engine, plan)
-    recorder = _MetaRecorder(plan.system, controller, nvm)
-
-    def observe(kind: str, detail: str) -> None:
-        # Metadata first: the freeze only ever runs via the scheduler,
-        # after the current event (and its record) completes.
-        recorder.observe(kind, detail)
-        injector.observe(kind, detail)
-
-    previous = probes.set_observer(observe)
+    injector = _FreezeInjector(engine, controller, plan)
+    previous = probes.set_observer(injector.observe)
     try:
         for epoch, writes in enumerate(schedule):
             for block, data in writes:
@@ -263,88 +156,30 @@ def run_child(plan: CrashPlan, store_dir: str) -> int:
 
 
 def run_recover(plan: CrashPlan, store_dir: str) -> Dict[str, Any]:
-    """Attach the NVM image in a fresh process and rebuild the image.
+    """Attach the NVM image in a fresh process and recover from it.
 
     No controller and no simulation exist here: recovery is a pure
     function of the file contents, exactly the property cross-process
     crash testing is meant to establish.
     """
     config = crashproc_config(store_dir)
-    layout = HardwareLayout(config)
-    addresses = AddressMap(config)
     schedule = build_schedule(plan.workload, plan.seed, plan.epochs,
                               plan.blocks, config)
-    blocks = observed_blocks(schedule)
-    nvm = MmapStore(config.block_bytes, layout.nvm_bytes,
+    nvm = MmapStore(config.block_bytes, HardwareLayout(config).nvm_bytes,
                     os.path.join(store_dir, NVM_IMAGE),
                     msync_policy="none", must_exist=True)
     try:
-        payload = nvm.read_meta()
-        record: Optional[Dict[str, Any]] = (
-            None if payload is None
-            else json.loads(payload.decode("ascii")))
-        epoch, image = _rebuild_image(plan.system, record, config,
-                                      layout, addresses, nvm, blocks)
+        recovered = recover_image(config, nvm)
+        image = {block: recovered.visible_block(block)
+                 for block in observed_blocks(schedule)}
     finally:
         nvm.close()
     return {
         "plan": str(plan),
-        "recovered_epoch": epoch,
+        "recovered_epoch": recovered.epoch,
         "image": {str(block): data.hex()
                   for block, data in sorted(image.items())},
     }
-
-
-def _rebuild_image(system: str, record: Optional[Dict[str, Any]],
-                   config: SystemConfig, layout: HardwareLayout,
-                   addresses: AddressMap, nvm: MmapStore,
-                   blocks: List[int]) -> Tuple[int, Dict[int, bytes]]:
-    """Per-system software-visible image from the bare NVM store."""
-    block_bytes = config.block_bytes
-    image: Dict[int, bytes] = {}
-    if system in _THYNVM_POLICIES:
-        if record is None:
-            meta = MetaSnapshot(epoch=-1)
-        else:
-            meta = MetaSnapshot(
-                epoch=int(record["epoch"]),
-                block_regions={
-                    int(block): int(region)
-                    for block, region in record["block_regions"].items()},
-                page_regions={
-                    int(page): (int(pair[0]), int(pair[1]))
-                    for page, pair in record["page_regions"].items()})
-        for block in blocks:
-            image[block] = visible_block_in_store(meta, layout, addresses,
-                                                 nvm, block)
-        return meta.epoch, image
-    epoch = -1 if record is None else int(record["epoch"])
-    if system == "shadow":
-        page_regions: Dict[int, int] = {}
-        if record is not None:
-            page_regions = {int(page): int(region)
-                            for page, region
-                            in record["page_regions"].items()}
-        for block in blocks:
-            page = addresses.page_of_block(block)
-            region = page_regions.get(page, REGION_B)
-            offset = block - next(iter(addresses.blocks_in_page(page)))
-            image[block] = nvm.read(layout.region_page_addr(region, page)
-                                    + offset * block_bytes)
-        return epoch, image
-    # Journaling: replay the committed log over the home region.
-    log: Dict[int, int] = {}
-    if record is not None and record.get("log"):
-        log = {int(block): int(slot)
-               for block, slot in record["log"].items()}
-    for block in blocks:
-        slot = log.get(block)
-        if slot is not None:
-            image[block] = nvm.read(layout.region_a_base
-                                    + slot * block_bytes)
-        else:
-            image[block] = nvm.read(layout.home_block_addr(block))
-    return epoch, image
 
 
 # --- parent orchestration ------------------------------------------------
@@ -376,20 +211,6 @@ class CrashProcResult:
         }
 
 
-def golden_images(plan: CrashPlan,
-                  config: SystemConfig) -> Dict[int, Dict[int, bytes]]:
-    """Golden image per epoch boundary, from the schedule alone."""
-    schedule = build_schedule(plan.workload, plan.seed, plan.epochs,
-                              plan.blocks, config)
-    goldens: Dict[int, Dict[int, bytes]] = {-1: {}}
-    merged: Dict[int, bytes] = {}
-    for epoch, writes in enumerate(schedule):
-        for block, data in writes:
-            merged[block] = data
-        goldens[epoch] = dict(merged)
-    return goldens
-
-
 def _child_env() -> Dict[str, str]:
     env = dict(os.environ)
     package_root = os.path.dirname(os.path.dirname(
@@ -401,6 +222,12 @@ def _child_env() -> Dict[str, str]:
     return env
 
 
+def _child_argv(plan: CrashPlan, store_dir: str) -> List[str]:
+    """The command line of the child that runs :func:`run_child`."""
+    return [sys.executable, "-m", "repro.cli", "crashproc", str(plan),
+            "--store-dir", store_dir, "--child"]
+
+
 def _drive_child(plan: CrashPlan, store_dir: str,
                  timeout: float) -> Tuple[List[int], str]:
     """Spawn the child, follow its markers, SIGKILL it at the site.
@@ -409,9 +236,8 @@ def _drive_child(plan: CrashPlan, store_dir: str,
     stopped at (``READY_MARKER`` or ``UNREACHED_MARKER``).  Raises
     :class:`WorkloadError` on timeout or an unexpected child death.
     """
-    argv = [sys.executable, "-m", "repro.cli", "crashproc", str(plan),
-            "--store-dir", store_dir, "--child"]
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE,
+    proc = subprocess.Popen(_child_argv(plan, store_dir),
+                            stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, env=_child_env())
     stdout = proc.stdout
     assert stdout is not None
@@ -476,57 +302,6 @@ def _recover_in_fresh_process(plan: CrashPlan, store_dir: str,
     return payload
 
 
-def _check_oracle(plan: CrashPlan, config: SystemConfig,
-                  committed: List[int], recovered: Dict[str, Any],
-                  result: CrashProcResult) -> None:
-    """Committed-prefix invariant over the fresh-process image.
-
-    A commit can land between the child's last ``COMMIT`` line and the
-    kill (the same race the in-process runner resolves by re-checking
-    after the crash), so the committed prefix is allowed to extend one
-    epoch past the last reported commit — content equality against
-    that epoch's golden still fully constrains the image.
-    """
-    goldens = golden_images(plan, config)
-    schedule = build_schedule(plan.workload, plan.seed, plan.epochs,
-                              plan.blocks, config)
-    blocks = observed_blocks(schedule)
-    empty = bytes(config.block_bytes)
-    image = {int(block): bytes.fromhex(data)
-             for block, data in recovered["image"].items()}
-    epoch = int(recovered["recovered_epoch"])
-    limit = (max(committed) if committed else -1) + 1
-    result.recovered_epoch = epoch
-
-    if plan.system in _THYNVM_POLICIES:
-        if epoch not in goldens or epoch > limit:
-            result.outcome = "fail"
-            result.detail = (f"recovered to epoch {epoch}, outside the "
-                             f"committed prefix (reported commits: "
-                             f"{committed})")
-            return
-        golden = goldens[epoch]
-        for block in blocks:
-            if image.get(block, empty) != golden.get(block, empty):
-                result.outcome = "fail"
-                result.detail = (f"block {block} mismatch after "
-                                 f"recovery to epoch {epoch}")
-                return
-        return
-
-    candidates = [epoch for epoch in sorted(goldens, reverse=True)
-                  if epoch <= limit]
-    for candidate in candidates:
-        golden = goldens[candidate]
-        if all(image.get(block, empty) == golden.get(block, empty)
-               for block in blocks):
-            result.recovered_epoch = candidate
-            return
-    result.outcome = "fail"
-    result.detail = ("recovered image matches no committed epoch "
-                     f"boundary (reported commits: {committed})")
-
-
 def run_crashproc(plan: CrashPlan, store_dir: Optional[str] = None,
                   keep: bool = False,
                   timeout: float = 180.0) -> CrashProcResult:
@@ -552,7 +327,22 @@ def run_crashproc(plan: CrashPlan, store_dir: Optional[str] = None,
                              f"#{plan.occurrence} never fired")
         else:
             recovered = _recover_in_fresh_process(plan, directory, timeout)
-            _check_oracle(plan, config, committed, recovered, result)
+            schedule = build_schedule(plan.workload, plan.seed, plan.epochs,
+                                      plan.blocks, config)
+            epoch = int(recovered["recovered_epoch"])
+            image = {int(block): bytes.fromhex(data)
+                     for block, data in recovered["image"].items()}
+            result.recovered_epoch = epoch
+            # A commit can land between the child's last COMMIT line and
+            # the kill, so recovery may also land one epoch past it (which
+            # is also journaling's pending epoch); that epoch's golden
+            # still fully constrains the image.
+            newest = max(committed, default=-1)
+            result.detail = check_committed_prefix(
+                epoch, image, golden_images(schedule), [newest, newest + 1],
+                config.block_bytes)
+            if result.detail:
+                result.outcome = "fail"
     finally:
         if owned and not (keep or result.failed):
             shutil.rmtree(directory, ignore_errors=True)

@@ -3,16 +3,18 @@
 The runner builds a directly-driven system (no CPU model — the same
 shape the property tests use), installs a probe observer that counts
 protocol events, and crashes the controller a fixed jitter after the
-plan's N-th matching event.  After the crash it recovers and checks the
-committed-prefix invariant:
+plan's N-th matching event.  After the crash it recovers every system
+the same way: :func:`~repro.core.recovery.recover_image` over the NVM
+store alone, i.e. the recovery record the controller wrote at its own
+durability point plus the data it points at.  Nothing is read from
+controller heap state.
 
-* ThyNVM systems report the epoch they recovered to; the recovered
-  image must equal the golden image captured at exactly that epoch's
-  commit.
-* The journaling and shadow baselines expose only the recovered image
-  (``recovered_block``); it must equal *some* committed golden image —
-  membership is precisely "recovery lands on a committed epoch
-  boundary, never a torn state".
+The committed-prefix oracle (:func:`check_committed_prefix`, shared
+with ``repro crashproc``) then demands an exact match: recovery lands
+on the newest committed epoch and the image equals that epoch's
+golden.  Redo journaling may instead land on the pending epoch whose
+log record is durable.  Landing on an older committed epoch fails even
+when its image is intact: that is a lost commit.
 
 Everything downstream of the plan string is deterministic:
 ``run_plan(parse_plan(s)).to_dict()`` is a pure function of ``s`` and
@@ -22,7 +24,7 @@ the code version.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..baselines.journaling import JournalingController
 from ..baselines.shadow import ShadowPagingController
@@ -32,13 +34,14 @@ from ..config import SystemConfig, small_test_config
 from ..core import probes
 from ..core.controller import ThyNVMController, ThyNVMPolicy
 from ..core.epoch import Phase
+from ..core.recovery import recover_image
 from ..errors import CrashedError, ReproError, WorkloadError
-from ..mem.controller import MemoryController
+from ..mem.controller import DeviceKind, MemoryController
 from ..sim.engine import Engine
 from ..sim.request import Origin
 from ..stats.collector import StatsCollector
 from .plan import FUZZ_SYSTEMS, CrashPlan
-from .workloads import build_schedule, observed_blocks
+from .workloads import Schedule, build_schedule, observed_blocks
 
 #: Epoch timer parked far in the future: the workload drives boundaries.
 _MANUAL_EPOCHS = 10 ** 12
@@ -63,7 +66,7 @@ class FuzzResult:
     outcome: str                      # "pass" | "fail" | "unreached"
     crash_cycle: Optional[int] = None
     recovered_epoch: Optional[int] = None
-    committed_epochs: int = 0         # goldens captured before the crash
+    committed_epochs: int = 0         # epochs committed before the crash
     site_counts: Dict[str, int] = field(default_factory=dict)
     detail: str = ""                  # failure description ("" if none)
 
@@ -194,16 +197,37 @@ def _committed_past(system: str, controller: Any,
     return lambda: controller.epoch > epoch
 
 
-def _recovered_image(system: str, controller: Any, blocks: List[int],
-                     ) -> Tuple[Optional[int], Dict[int, bytes]]:
-    """Post-crash image over the observed blocks, plus the recovered
-    epoch where the system reports one (ThyNVM variants)."""
-    if system in _THYNVM_POLICIES:
-        recovered = controller.recover()
-        image = {block: recovered.visible_block(block) for block in blocks}
-        return recovered.epoch, image
-    image = {block: controller.recovered_block(block) for block in blocks}
-    return None, image
+def golden_images(schedule: Schedule) -> Dict[int, Dict[int, bytes]]:
+    """The software-visible image at every epoch boundary of a
+    schedule (epoch -1: the pristine, all-zero image)."""
+    goldens: Dict[int, Dict[int, bytes]] = {-1: {}}
+    image: Dict[int, bytes] = {}
+    for epoch, writes in enumerate(schedule):
+        image.update(writes)
+        goldens[epoch] = dict(image)
+    return goldens
+
+
+def check_committed_prefix(epoch: int, image: Dict[int, bytes],
+                           goldens: Dict[int, Dict[int, bytes]],
+                           accepted: Sequence[int],
+                           block_bytes: int) -> str:
+    """The committed-prefix oracle: "" on a pass, else what failed.
+
+    ``accepted`` lists the epochs recovery may land on: the newest
+    committed one, plus what the caller also allows (journaling's
+    pending epoch, a commit racing a ``SIGKILL``).  The recovered
+    ``image`` must then equal that epoch's golden exactly.
+    """
+    if epoch not in accepted or epoch not in goldens:
+        return (f"recovered to epoch {epoch}, expected "
+                f"{' or '.join(str(e) for e in accepted)}")
+    golden = goldens[epoch]
+    empty = bytes(block_bytes)
+    for block, data in sorted(image.items()):
+        if data != golden.get(block, empty):
+            return f"block {block} mismatch after recovery to epoch {epoch}"
+    return ""
 
 
 def run_plan(plan: CrashPlan,
@@ -212,21 +236,14 @@ def run_plan(plan: CrashPlan,
     config = config if config is not None else fuzz_config()
     schedule = build_schedule(plan.workload, plan.seed, plan.epochs,
                               plan.blocks, config)
-    blocks = observed_blocks(schedule)
-    empty = bytes(config.block_bytes)
 
     engine = Engine()
     stats = StatsCollector(config.block_bytes)
     controller = _build_controller(plan.system, engine, config, stats)
     injector = CrashInjector(engine, controller, plan)
 
-    shadow: Dict[int, bytes] = {}
-    goldens: Dict[int, Dict[int, bytes]] = {-1: {}}
-    # Redo journaling commits *early*: once the log stage is durable the
-    # epoch is recoverable by replay, before the commit record lands.
-    # The image pending at the last forced boundary is therefore also a
-    # legal recovery point for "journal" (and only for it).
-    pending: Optional[Tuple[int, Dict[int, bytes]]] = None
+    committed = -1                    # newest epoch committed pre-crash
+    forced: Optional[int] = None      # epoch whose boundary was forced
 
     previous = probes.set_observer(injector.observe)
     try:
@@ -239,7 +256,6 @@ def run_plan(plan: CrashPlan,
                                            Origin.CPU, data=data)
                 except CrashedError:
                     break
-                shadow[block] = data
                 engine.run(until=engine.now + 1_000)
             if controller.crashed:
                 break
@@ -248,7 +264,7 @@ def run_plan(plan: CrashPlan,
                      _ready_for_boundary(plan.system, controller))
             if controller.crashed:
                 break
-            pending = (epoch, dict(shadow))
+            forced = epoch
             try:
                 controller.force_epoch_end("fuzz")
             except CrashedError:
@@ -256,10 +272,9 @@ def run_plan(plan: CrashPlan,
             _advance(engine, controller,
                      _committed_past(plan.system, controller, epoch))
             # The commit may have landed in the same advance step as the
-            # crash: the golden is valid whenever the commit happened
-            # (no writes were issued in between), crash or not.
+            # crash: it counts whenever it happened, crash or not.
             if _committed_past(plan.system, controller, epoch)():
-                goldens[epoch] = dict(shadow)
+                committed = epoch
             if controller.crashed:
                 break
         # Let any jitter-delayed crash (and post-crash cancellations)
@@ -270,7 +285,7 @@ def run_plan(plan: CrashPlan,
 
     result = FuzzResult(plan=str(plan), outcome="pass",
                         crash_cycle=injector.crash_cycle,
-                        committed_epochs=len(goldens) - 1,
+                        committed_epochs=committed + 1,
                         site_counts=injector.counts)
     if not controller.crashed:
         result.outcome = "unreached"
@@ -281,44 +296,26 @@ def run_plan(plan: CrashPlan,
         return result
 
     try:
-        recovered_epoch, image = _recovered_image(plan.system, controller,
-                                                  blocks)
+        recovered = recover_image(
+            config, controller.memctrl.functional_store(DeviceKind.NVM))
+        image = {block: recovered.visible_block(block)
+                 for block in observed_blocks(schedule)}
     except ReproError as error:
         result.outcome = "fail"
         result.detail = f"recovery raised {type(error).__name__}: {error}"
         return result
 
-    result.recovered_epoch = recovered_epoch
-    if recovered_epoch is not None:
-        if recovered_epoch not in goldens:
-            result.outcome = "fail"
-            result.detail = (f"recovered to epoch {recovered_epoch}, "
-                            f"which never committed "
-                            f"(committed: {sorted(goldens)})")
-            return result
-        golden = goldens[recovered_epoch]
-        for block in blocks:
-            expected = golden.get(block, empty)
-            if image[block] != expected:
-                result.outcome = "fail"
-                result.detail = (f"block {block} mismatch after recovery "
-                                 f"to epoch {recovered_epoch}")
-                return result
-        return result
-
-    # Baselines: the image must match some committed boundary exactly.
-    candidates = [(epoch, goldens[epoch])
-                  for epoch in sorted(goldens, reverse=True)]
-    if plan.system == "journal" and pending is not None:
-        candidates.insert(0, pending)
-    for epoch, golden in candidates:
-        if all(image[block] == golden.get(block, empty)
-               for block in blocks):
-            result.recovered_epoch = epoch
-            return result
-    result.outcome = "fail"
-    result.detail = ("recovered image matches no committed epoch "
-                     f"boundary (committed: {sorted(goldens)})")
+    result.recovered_epoch = recovered.epoch
+    # Redo journaling commits *early*: once the log stage is durable the
+    # epoch is recoverable by replay, before the commit record lands.
+    accepted = [committed]
+    if plan.system == "journal" and forced is not None and forced != committed:
+        accepted.append(forced)
+    result.detail = check_committed_prefix(
+        recovered.epoch, image, golden_images(schedule), accepted,
+        config.block_bytes)
+    if result.detail:
+        result.outcome = "fail"
     return result
 
 

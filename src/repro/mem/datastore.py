@@ -16,7 +16,12 @@ Every store speaks the same protocol:
   call per 64 B block;
 * durability — ``msync()`` pushes contents to the backing medium.  A
   no-op here; :class:`~repro.mem.mmapstore.MmapStore` flushes its
-  mapped file.
+  mapped file;
+* recovery record — ``write_meta(payload)``/``read_meta()`` keep one
+  opaque record of at most :data:`META_PAYLOAD_MAX` bytes beside the
+  data.  Controllers write their recovery record there (the format
+  lives in :mod:`repro.core.recovery`; stores only move bytes), and
+  ``read_meta()`` returns the newest one, or ``None`` before the first.
 
 ``write_run`` accepts either one contiguous bytes-like payload of
 ``count * block_bytes`` bytes, or a sequence of ``count`` per-block
@@ -39,6 +44,17 @@ from typing import Dict, Optional, Sequence, Union
 RunData = Union[bytes, bytearray, memoryview,
                 Sequence[Optional[bytes]]]
 
+#: Largest recovery record a store keeps: one 64 KiB mmap meta slot
+#: minus its 20-byte sequence/length/CRC header.
+META_PAYLOAD_MAX = 64 * 1024 - 20
+
+
+def check_meta_payload(payload: bytes) -> None:
+    """Reject a recovery record no store could keep."""
+    if len(payload) > META_PAYLOAD_MAX:
+        raise ValueError(f"meta payload too large: {len(payload)} > "
+                         f"{META_PAYLOAD_MAX}")
+
 
 def _run_chunks(data: RunData, count: int,
                 block_bytes: int) -> Sequence[Optional[bytes]]:
@@ -60,12 +76,13 @@ def _run_chunks(data: RunData, count: int,
 class FunctionalStore:
     """Block-granularity byte storage keyed by hardware block address."""
 
-    __slots__ = ("block_bytes", "_blocks", "_zero")
+    __slots__ = ("block_bytes", "_blocks", "_zero", "_meta")
 
     def __init__(self, block_bytes: int) -> None:
         self.block_bytes = block_bytes
         self._blocks: Dict[int, bytes] = {}
         self._zero = bytes(block_bytes)
+        self._meta: Optional[bytes] = None
 
     def write(self, addr: int, data: Optional[bytes]) -> None:
         """Store one block.  ``None`` payloads are ignored (timing-only)."""
@@ -108,6 +125,16 @@ class FunctionalStore:
     def msync(self) -> None:
         """Push contents to the backing medium (no medium here)."""
 
+    def write_meta(self, payload: bytes) -> None:
+        """Replace the recovery record (survives :meth:`erase`, as the
+        NVM backup region survives power loss)."""
+        check_meta_payload(payload)
+        self._meta = bytes(payload)
+
+    def read_meta(self) -> Optional[bytes]:
+        """The newest recovery record, or ``None`` if none was written."""
+        return self._meta
+
     def __contains__(self, addr: int) -> bool:
         return addr in self._blocks
 
@@ -147,6 +174,12 @@ class NullStore:
 
     def msync(self) -> None:
         pass
+
+    def write_meta(self, payload: bytes) -> None:
+        pass
+
+    def read_meta(self) -> Optional[bytes]:
+        return None
 
     def __contains__(self, addr: int) -> bool:
         return False

@@ -20,7 +20,7 @@ File layout (all regions page-aligned)::
     | allocation      |   1 bit per block: "has been written"
     | bitmap          |   (unwritten blocks read as zeros)
     +-----------------+ meta_offset
-    | meta records    |   2 ping-pong slots for harness metadata
+    | meta records    |   2 ping-pong slots for the recovery record
     | (slot A, B)     |   (seq, length, CRC32, payload)
     +-----------------+ data_offset
     | flat data       |   capacity_blocks x block_bytes
@@ -29,11 +29,12 @@ File layout (all regions page-aligned)::
 
 Bulk runs (``write_run``/``read_run``/``copy_run``) are single
 ``mmap`` slice copies — a 128-block run is one buffer splice, not 128
-dict writes.  The meta slots let the crash harness persist protocol
-metadata (committed translation tables, journal log plan) next to the
-data it governs; the ping-pong + CRC scheme makes a torn meta write
-fall back to the previous record, mirroring the commit-record
-discipline of the protocols themselves.
+dict writes.  The meta slots hold the recovery record each controller
+writes at its own durability point (committed translation tables,
+shadow page map, journal log directory; format in
+:mod:`repro.core.recovery`) next to the data it governs; the ping-pong
++ CRC scheme makes a torn meta write fall back to the previous record,
+mirroring the commit-record discipline of the protocols themselves.
 
 Durability model: the mapping is ``MAP_SHARED``, so serviced bytes
 live in the page cache and survive ``SIGKILL`` of the writing process
@@ -51,7 +52,7 @@ import zlib
 from typing import List, Optional, Tuple
 
 from ..errors import ConfigError, RecoveryError
-from .datastore import RunData
+from .datastore import META_PAYLOAD_MAX, RunData, check_meta_payload
 
 #: Identifies a ThyNVM-repro store image (8 bytes at offset 0).
 MAGIC = b"THYNVMST"
@@ -59,8 +60,6 @@ MAGIC = b"THYNVMST"
 LAYOUT_VERSION = 1
 
 _PAGE = 4096
-#: Capacity of one meta record slot (header + payload).
-META_SLOT_BYTES = 64 * 1024
 
 # magic, version, block_bytes, capacity_blocks, bitmap_offset,
 # bitmap_bytes, meta_offset, meta_slot_bytes, data_offset, total_bytes
@@ -68,6 +67,8 @@ _HEADER = struct.Struct("<8sIQQQQQQQQ")
 _HEADER_CRC = struct.Struct("<I")
 # seq, payload length, payload CRC32
 _META = struct.Struct("<QQI")
+#: Capacity of one meta record slot (header + payload): 64 KiB.
+META_SLOT_BYTES = _META.size + META_PAYLOAD_MAX
 
 MSYNC_POLICIES = ("none", "commit", "always")
 
@@ -418,7 +419,7 @@ class MmapStore:
         offset = self._meta_offset + slot * META_SLOT_BYTES
         seq, length, crc = _META.unpack_from(
             self._map[offset:offset + _META.size])
-        if seq == 0 or length > META_SLOT_BYTES - _META.size:
+        if seq == 0 or length > META_PAYLOAD_MAX:
             return None, None
         payload = self._map[offset + _META.size:
                             offset + _META.size + length]
@@ -436,16 +437,18 @@ class MmapStore:
         return best_payload
 
     def write_meta(self, payload: bytes) -> None:
-        """Persist a harness metadata record (ping-pong slots + CRC).
+        """Persist a recovery record (ping-pong slots + CRC).
 
         Alternating slots mean a crash mid-write tears at most the
         record being written; ``read_meta`` falls back to the intact
-        previous one.
+        previous one.  Under a syncing policy, data written since the
+        last flush reaches the medium first (a record must never land
+        before the data it points at), then only the written slot's
+        pages are flushed, never the whole mapping.
         """
-        if len(payload) > META_SLOT_BYTES - _META.size:
-            raise ValueError(
-                f"meta payload too large: {len(payload)} > "
-                f"{META_SLOT_BYTES - _META.size}")
+        check_meta_payload(payload)
+        if self._sync_enabled and self._dirty_hi > self._dirty_lo:
+            self.msync()
         if self._meta_seq is None:
             self._meta_seq = max((self._meta_slot(slot)[0] or 0)
                                  for slot in (0, 1))
@@ -456,7 +459,7 @@ class MmapStore:
                             zlib.crc32(payload)) + payload
         self._map[offset:offset + len(record)] = record
         if self._sync_enabled:
-            self._map.flush()
+            self._map.flush(offset, _page_round(len(record)))
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -6,6 +6,7 @@ import pytest
 
 from repro.baselines.shadow import ShadowPagingController
 from repro.config import small_test_config
+from repro.core.recovery import recover_image
 from repro.core.regions import REGION_B
 from repro.mem.controller import DeviceKind, MemoryController
 from repro.sim.engine import Engine
@@ -35,6 +36,12 @@ def end_epoch(system):
     epoch = system.ctl.epoch
     system.ctl.force_epoch_end("test")
     run_until(system.engine, lambda: system.ctl.epoch > epoch)
+
+
+def recover(system):
+    """Recover from the NVM store alone, as every crash check does."""
+    return recover_image(system.config,
+                         system.memctrl.functional_store(DeviceKind.NVM))
 
 
 def test_copy_on_write_buffers_page(system):
@@ -78,14 +85,16 @@ def test_crash_recovers_committed_state(system):
     write(system, 3, b"doomed")
     settle(system.engine, 1_000)
     system.ctl.crash()
-    assert system.ctl.recovered_block(3) == pad(b"stable")
+    recovered = recover(system)
+    assert recovered.epoch == 0
+    assert recovered.visible_block(3) == pad(b"stable")
 
 
 def test_untouched_blocks_recover_from_home(system):
     write(system, 3, b"x")
     end_epoch(system)
     system.ctl.crash()
-    assert system.ctl.recovered_block(200) == bytes(64)
+    assert recover(system).visible_block(200) == bytes(64)
     assert system.ctl._committed_region(0) == REGION_B or True
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import CrashedError
 from repro.fuzz.plan import FUZZ_SYSTEMS, CrashPlan, parse_plan
-from repro.fuzz.runner import census, run_plan
+from repro.fuzz.runner import census, check_committed_prefix, run_plan
 
 
 def plan_for(system, site, occurrence=1, jitter=0, workload="sparse",
@@ -94,3 +94,18 @@ def test_crashed_controller_rejects_further_use():
     controller.crash()
     with pytest.raises(CrashedError):
         controller.crash()
+
+
+def test_oracle_demands_the_newest_committed_epoch():
+    """An image equal to an older golden is a lost commit: it fails
+    even though that epoch did commit and its image is intact."""
+    older, newer = {5: b"a" * 64}, {5: b"b" * 64}
+    goldens = {-1: {}, 0: older, 1: newer}
+    assert check_committed_prefix(1, newer, goldens, [1], 64) == ""
+    assert check_committed_prefix(0, older, goldens, [1], 64) == (
+        "recovered to epoch 0, expected 1")
+    assert check_committed_prefix(-1, {5: bytes(64)}, goldens, [1], 64)
+    assert check_committed_prefix(1, older, goldens, [1], 64) == (
+        "block 5 mismatch after recovery to epoch 1")
+    # Journaling may also land on its pending epoch (log durable).
+    assert check_committed_prefix(1, newer, goldens, [0, 1], 64) == ""

@@ -4,9 +4,9 @@ The mmap-backed store must be observationally identical to the
 dict-backed reference over the whole datastore protocol — including
 across a close-and-reopen, which the in-memory store cannot survive at
 all.  The hypothesis drive below interleaves every protocol operation
-(single/bulk/copy/erase/reopen) and requires byte-equal reads after
-each step; it is the conformance contract docs/PERSISTENCE.md points
-at.
+(single/bulk/copy/erase/recovery record/reopen) and requires byte-equal
+reads after each step; it is the conformance contract
+docs/PERSISTENCE.md points at.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError, RecoveryError
-from repro.mem.datastore import FunctionalStore
+from repro.mem.datastore import META_PAYLOAD_MAX, FunctionalStore, NullStore
 from repro.mem.mmapstore import (
     LAYOUT_VERSION, MAGIC, META_SLOT_BYTES, MmapStore)
 
@@ -62,6 +62,8 @@ _ops = st.one_of(
     st.tuples(st.just("copy_run"), st.integers(0, BLOCKS - 1),
               st.integers(0, BLOCKS - 1), st.integers(1, 6)),
     st.tuples(st.just("erase")),
+    st.tuples(st.just("write_meta"), st.binary(max_size=96)),
+    st.tuples(st.just("read_meta")),
     st.tuples(st.just("reopen")),
 )
 
@@ -122,6 +124,12 @@ def test_mmap_store_conforms_to_functional_reference(tmp_path_factory, ops):
             elif kind == "erase":
                 for target in (reference, store):
                     target.erase()
+            elif kind == "write_meta":
+                _, payload = op
+                for target in (reference, store):
+                    target.write_meta(payload)
+            elif kind == "read_meta":
+                assert store.read_meta() == reference.read_meta()
             elif kind == "reopen":
                 # The operation FunctionalStore cannot model: contents
                 # must survive unmapping and a fresh attach.
@@ -129,6 +137,7 @@ def test_mmap_store_conforms_to_functional_reference(tmp_path_factory, ops):
                 store = make(image, must_exist=True)
                 assert store.attached
         # Full-surface equality at the end of every program.
+        assert store.read_meta() == reference.read_meta()
         assert len(store) == len(reference)
         for index in range(BLOCKS):
             addr = index * BLOCK
@@ -303,6 +312,66 @@ def test_meta_rejects_oversized_payload(image):
     try:
         with pytest.raises(ValueError):
             store.write_meta(b"x" * META_SLOT_BYTES)
+        store.write_meta(b"x" * META_PAYLOAD_MAX)     # exactly one slot
+        assert store.read_meta() == b"x" * META_PAYLOAD_MAX
+    finally:
+        store.close()
+    with pytest.raises(ValueError):        # the reference agrees
+        FunctionalStore(BLOCK).write_meta(b"x" * (META_PAYLOAD_MAX + 1))
+
+
+def test_null_store_keeps_no_record():
+    store = NullStore(BLOCK)
+    store.write_meta(b"record")
+    assert store.read_meta() is None
+
+
+class _FlushRecorder:
+    """Stands in for ``MmapStore._map``, logging every flush range."""
+
+    def __init__(self, mapping):
+        self._mapping = mapping
+        self.flushes = []
+
+    def __getitem__(self, key):
+        return self._mapping[key]
+
+    def __setitem__(self, key, value):
+        self._mapping[key] = value
+
+    def flush(self, *span):
+        self.flushes.append(span)
+        self._mapping.flush(*span)
+
+    def close(self):
+        self._mapping.close()
+
+
+@pytest.mark.parametrize("policy", ["commit", "always"])
+def test_write_meta_flushes_only_its_slot(image, policy):
+    store = make(image, msync_policy=policy)
+    recorder = _FlushRecorder(store._map)
+    store._map = recorder
+    try:
+        store.write(0, _payload(1))
+        store.msync()
+        for seq in (1, 2, 3):
+            recorder.flushes.clear()
+            store.write_meta(b"r" * (5000 * seq))
+            slot_offset = store._meta_offset + (seq % 2) * META_SLOT_BYTES
+            record_bytes = struct.Struct("<QQI").size + 5000 * seq
+            # One page-aligned flush covering just the written record.
+            assert recorder.flushes == [
+                (slot_offset, -(-record_bytes // 4096) * 4096)]
+        # Data written since the last flush reaches the medium first,
+        # so the record never lands before the data it points at.
+        store.write(3 * BLOCK, _payload(2))
+        recorder.flushes.clear()
+        store.write_meta(b"after data")                 # seq 4: slot 0
+        *earlier, last = recorder.flushes
+        assert last == (store._meta_offset, 4096)
+        assert any(span[0] >= store._data_offset for span in earlier)
+        assert all(span for span in recorder.flushes)   # never whole-map
     finally:
         store.close()
 

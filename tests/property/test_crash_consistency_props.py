@@ -18,7 +18,9 @@ from repro.baselines.journaling import JournalingController
 from repro.baselines.shadow import ShadowPagingController
 from repro.config import small_test_config
 from repro.core.epoch import Phase
-from repro.mem.controller import MemoryController
+from repro.core.recovery import recover_image
+from repro.fuzz.runner import check_committed_prefix
+from repro.mem.controller import DeviceKind, MemoryController
 from repro.sim.engine import Engine
 from repro.sim.request import Origin
 from repro.stats.collector import StatsCollector
@@ -150,16 +152,15 @@ def make_baseline(kind):
 @given(st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_baseline_recovery_matches_a_committed_boundary(kind, seed):
-    """The baselines report no epoch number after a crash, so the
-    oracle is membership: the recovered image must equal *some*
-    committed boundary image.  Redo journaling commits early — once its
-    log is durable the in-flight boundary is recoverable by replay —
-    so for it the pending boundary image is also legal."""
+    """Recovery from the baselines' own records lands exactly on the
+    newest committed boundary.  Redo journaling commits early — once
+    its log is durable the in-flight boundary is recoverable by replay
+    — so for it the pending boundary is also legal."""
     rng = random.Random(seed)
     system = make_baseline(kind)
     shadow = {}
-    goldens = [{}]                   # committed images, oldest first
-    pending = None
+    goldens = {-1: {}}               # boundary image per epoch
+    committed = -1
     num_epochs = rng.randrange(1, 4)
     crash_epoch = rng.randrange(num_epochs)
     crash_delay = rng.randrange(400_000)
@@ -172,26 +173,22 @@ def test_baseline_recovery_matches_a_committed_boundary(kind, seed):
         settle(system.engine)        # quiesce demand writes (no CPU
         run_until(system.engine,     # stall exists in direct driving)
                   lambda: not system.ctl._in_checkpoint)
-        pending = dict(shadow)
-        boundary = system.ctl.epoch
+        pending = system.ctl.epoch
+        goldens[pending] = dict(shadow)
         system.ctl.force_epoch_end("prop")
         if epoch == crash_epoch:
             settle(system.engine, crash_delay)   # maybe mid-checkpoint
             break
         run_until(system.engine,
-                  lambda b=boundary: system.ctl.epoch > b)
-        goldens.append(dict(shadow))
-    if system.ctl.epoch > boundary:  # committed before the crash hit
-        goldens.append(dict(pending))
+                  lambda b=pending: system.ctl.epoch > b)
+        committed = pending
+    if system.ctl.epoch > pending:   # committed before the crash hit
+        committed = pending
     system.ctl.crash()
-    candidates = list(goldens)
-    if kind == "journal" and pending is not None:
-        candidates.append(pending)
-    image = {block: system.ctl.recovered_block(block)
-             for block in range(BLOCKS)}
-    for candidate in candidates:
-        if all(image[block] == candidate.get(block, bytes(64))
-               for block in range(BLOCKS)):
-            return
-    raise AssertionError(
-        f"{kind} recovery matches no committed boundary (seed {seed})")
+    recovered = recover_image(system.config,
+                              system.memctrl.functional_store(DeviceKind.NVM))
+    accepted = [committed, pending] if kind == "journal" else [committed]
+    failure = check_committed_prefix(
+        recovered.epoch, recovered.snapshot_physical(BLOCKS), goldens,
+        accepted, 64)
+    assert not failure, f"{kind} (seed {seed}): {failure}"
