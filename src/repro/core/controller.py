@@ -131,6 +131,14 @@ class ThyNVMController:
         # for blocks, (region, ttl_commits) for pages.
         self._evicted_blocks: Dict[int, Tuple[int, int]] = {}
         self._evicted_pages: Dict[int, Tuple[int, int]] = {}
+        # Emergency-eviction candidates: the BTT's idle entries in table
+        # order, built at the first eviction after a commit and walked
+        # by a home-region cursor and an any-region cursor.  Entries
+        # turn idle only at a commit (or a table rebuild), so a passed
+        # entry never needs a second look until the list is dropped.
+        self._evict_candidates: Optional[List[BlockEntry]] = None
+        self._evict_home_cursor = 0
+        self._evict_any_cursor = 0
         self._gc_issued: List[BlockEntry] = []
         self._absorbed_to_drop: List[BlockEntry] = []
         self._migration_unserviced = 0
@@ -544,37 +552,57 @@ class ThyNVMController:
     def _emergency_evict_block(self) -> bool:
         """Free one BTT entry mid-epoch (§4.3 overflow handling).
 
-        An idle entry whose C_last is already at home drops for free.
-        Failing that, an idle entry with C_last in region A is
-        consolidated to home synchronously (payload captured now, write
-        enqueued now, durable by the next commit's fence); a one-commit
-        hint keeps any re-created entry pointing its writes away from
-        the still-referenced region A copy.
+        The first idle entry in table order whose C_last is already at
+        home drops for free.  Failing that, the first idle entry (its
+        C_last is in region A) is consolidated to home synchronously
+        (payload captured now, write enqueued now, durable by the next
+        commit's fence); a two-commit shadow keeps any re-created entry
+        pointing its writes away from the still-referenced region A
+        copy.  Both picks come from the per-commit candidate list, so
+        an interval's evictions cost one pass over the table in all.
         """
-        fallback: Optional[BlockEntry] = None
-        for block, entry in self.btt:
-            if (entry.has_working_copy
-                    or entry.gc_state is not GcState.NONE
-                    or entry.coop_page is not None
-                    or entry.absorbed_by_page):
-                continue
-            if entry.stable_region == REGION_B:
-                self.btt.remove(block)
-                return True
-            if fallback is None:
-                fallback = entry
-        if fallback is None:
+        candidates = self._evict_candidates
+        if candidates is None:
+            candidates = [entry for _block, entry in self.btt
+                          if entry.is_idle]
+            self._evict_candidates = candidates
+            self._evict_home_cursor = self._evict_any_cursor = 0
+        self._evict_home_cursor, entry = self._next_evict_candidate(
+            candidates, self._evict_home_cursor, home_only=True)
+        if entry is not None:
+            self.btt.remove(entry.block)
+            return True
+        self._evict_any_cursor, entry = self._next_evict_candidate(
+            candidates, self._evict_any_cursor, home_only=False)
+        if entry is None:
             return False
-        block = fallback.block
+        block = entry.block
         src = self.layout.region_block_addr(REGION_A, block)
         dst = self.layout.home_block_addr(block)
         nvm = self.memctrl.functional_store(DeviceKind.NVM)
-        nvm.write(dst, nvm.read(src))
+        data = nvm.read(src)
+        nvm.write(dst, data)
         self._issue_fire_and_forget(DeviceKind.NVM, dst, True,
-                                    Origin.MIGRATION, data=nvm.read(src))
+                                    Origin.MIGRATION, data=data)
         self._evicted_blocks[block] = (REGION_A, 2)
         self.btt.remove(block)
         return True
+
+    def _next_evict_candidate(self, candidates: List[BlockEntry],
+                              cursor: int, home_only: bool
+                              ) -> Tuple[int, Optional[BlockEntry]]:
+        """Walk ``candidates`` from ``cursor`` to the next entry that is
+        still idle and still the BTT's (home-region only if
+        ``home_only``).  Returns the cursor past it, and the entry or
+        ``None`` at the end of the list."""
+        btt = self.btt
+        while cursor < len(candidates):
+            entry = candidates[cursor]
+            cursor += 1
+            if ((not home_only or entry.stable_region == REGION_B)
+                    and entry.is_idle and btt.get(entry.block) is entry):
+                return cursor, entry
+        return cursor, None
 
     # ------------------------------------------------------------------
     # Epoch boundary (execution phase -> checkpointing phase)
@@ -812,6 +840,8 @@ class ThyNVMController:
     def _on_commit(self) -> None:
         if self._crashed:
             return
+        # The flips, merges and drops below are where entries turn idle.
+        self._evict_candidates = None
         epoch = self.epochs.ckpt_epoch
         run = self._ckpt_run
         self._ckpt_run = None
@@ -1277,6 +1307,7 @@ class ThyNVMController:
                                          self.config.btt_entry_bytes)
         self.ptt = PageTranslationTable(self.config.ptt_entries,
                                         self.config.ptt_entry_bytes)
+        self._evict_candidates = None
         self._evicted_blocks = {}
         self._evicted_pages = {}
         overflow = []
@@ -1362,7 +1393,8 @@ class ThyNVMController:
         * temps belong only to the active or in-flight-checkpoint epoch,
         * PTT pages occupy distinct, allocated DRAM slots,
         * coop entries reference live PTT pages,
-        * dirty-page index entries are PTT-resident.
+        * dirty-page index entries are PTT-resident,
+        * no BTT entry turned idle behind a live eviction cursor.
         """
         active = self.epochs.active_epoch
         ckpt = self.epochs.ckpt_epoch
@@ -1399,6 +1431,7 @@ class ThyNVMController:
                     raise ProtocolError(
                         f"coop entry {block} for untracked page "
                         f"{entry.coop_page}")
+        self._validate_evict_candidates()
         slots = {}
         for page, pe in self.ptt:
             if pe.page != page:
@@ -1412,6 +1445,27 @@ class ThyNVMController:
             pe = self.ptt.lookup(page)
             if pe is None:
                 raise ProtocolError(f"dirty-page index has untracked {page}")
+
+    def _validate_evict_candidates(self) -> None:
+        """Emergency eviction never looks back at what its cursors
+        passed, which picks the linear scan's victim only while no entry
+        turns idle between two commits."""
+        candidates = self._evict_candidates
+        if candidates is None:
+            return
+        ahead = {entry.block: entry
+                 for entry in candidates[self._evict_any_cursor:]}
+        for block, entry in self.btt:
+            if entry.is_idle and ahead.get(block) is not entry:
+                raise ProtocolError(
+                    f"block {block}: idle BTT entry missing from the "
+                    f"eviction candidates")
+        for entry in candidates[:self._evict_home_cursor]:
+            if (entry.stable_region == REGION_B and entry.is_idle
+                    and self.btt.get(entry.block) is entry):
+                raise ProtocolError(
+                    f"block {entry.block}: idle home-region entry behind "
+                    f"the eviction cursor")
 
     def metadata_bytes_in_use(self) -> int:
         """Current translation-table storage footprint (Table 1 metric)."""

@@ -113,11 +113,7 @@ class SchemeCoordinator:
         for _block, entry in btt:
             if len(selected) >= self.gc_per_commit:
                 break
-            if (entry.gc_state is not GcState.NONE
-                    or entry.coop_page is not None
-                    or entry.absorbed_by_page):
-                continue
-            if entry.has_working_copy:
+            if not entry.is_idle:
                 continue
             if entry.last_write_epoch > committed_epoch - self.gc_idle_epochs:
                 continue

@@ -57,8 +57,14 @@ class BlockEntry:
     absorbed_by_page: bool = False
 
     @property
-    def has_working_copy(self) -> bool:
-        return self.pending_epoch is not None or bool(self.temp_epochs)
+    def is_idle(self) -> bool:
+        """Only C_last is live: no working copy, no consolidation in
+        flight, no §3.4 cooperation and no page absorption, so the
+        entry may be freed (after moving C_last home if need be)."""
+        return (self.pending_epoch is None and not self.temp_epochs
+                and self.gc_state is GcState.NONE
+                and self.coop_page is None
+                and not self.absorbed_by_page)
 
     def newest_temp_epoch(self) -> Optional[int]:
         return max(self.temp_epochs) if self.temp_epochs else None

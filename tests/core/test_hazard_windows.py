@@ -6,9 +6,17 @@ rewrite, mid-epoch eviction shadows, promotion absorption, and
 checkpoint-vs-demand same-slot ordering.
 """
 
+import pytest
+
 from repro.config import small_test_config
+from repro.core import probes
+from repro.core.controller import ThyNVMController
 from repro.core.metadata import GcState
+from repro.core.recovery import recover_image
 from repro.core.regions import REGION_A, REGION_B
+from repro.fuzz.runner import check_committed_prefix, golden_images
+from repro.fuzz.workloads import observed_blocks
+from repro.mem.controller import DeviceKind
 
 from ..conftest import (MANUAL_EPOCHS, end_epoch, make_direct, pad,
                         read_block, run_until, settle, write_block)
@@ -132,3 +140,111 @@ def test_checkpoint_copy_sees_newest_flush_data():
     recovered = s.ctl.recover()
     assert recovered.visible_block(first) == pad(bytes([201]))
     assert recovered.visible_block(first + 5) == pad(bytes([206]))
+
+
+def _overflow_stream(monkeypatch, crash_site="", occurrence=0,
+                     crash_after_evictions=0):
+    """Keep a 32-entry BTT overflowing across consecutive epochs.
+
+    After two setup epochs (blocks 0-9 at home, 10-19 in region A),
+    each round stores 12 fresh blocks, rewrites the newest block evicted
+    from region A (its shadow is still live) and rewrites the previous
+    round's last 4, all in one instant right after the previous commit
+    lands.  The table overflows in every epoch, so emergency eviction
+    rebuilds its candidate list each interval, and the rewritten blocks
+    keep home drops coming alongside region-A consolidations.
+
+    Crashes right after the store that makes the
+    ``crash_after_evictions``-th eviction, or at the ``occurrence``-th
+    ``crash_site`` probe.  Returns the system, the evictions as
+    (epoch, victim block, region of its C_last) and the stores by epoch.
+    """
+    s = make_direct(small_test_config(epoch_cycles=MANUAL_EPOCHS,
+                                      btt_entries=32))
+    evictions = []
+    schedule = {}
+    evict = ThyNVMController._emergency_evict_block
+
+    def logged_evict(ctl):
+        regions = {block: entry.stable_region for block, entry in ctl.btt}
+        epoch = ctl.epochs.active_epoch
+        evicted = evict(ctl)
+        if evicted:
+            (victim,) = [block for block in regions if block not in ctl.btt]
+            evictions.append((epoch, victim, regions[victim]))
+        return evicted
+
+    def observe(kind, _detail):
+        nonlocal occurrence
+        if kind == crash_site:
+            occurrence -= 1
+            if occurrence == 0:
+                s.engine.schedule(0, s.ctl.crash)
+
+    def store(block, data):
+        write_block(s, block, data)
+        # A deferred store would land in a later checkpoint than the
+        # epoch it is filed under here.
+        assert not s.ctl._deferred_writes
+        schedule.setdefault(s.ctl.epochs.active_epoch, []).append(
+            (block, pad(data)))
+        if crash_after_evictions and len(evictions) >= crash_after_evictions:
+            s.ctl.crash()
+
+    def burst(blocks, data):
+        for block in blocks:
+            if not s.ctl.crashed:
+                store(block, data)
+
+    monkeypatch.setattr(ThyNVMController, "_emergency_evict_block",
+                        logged_evict)
+    previous = probes.set_observer(observe)
+    try:
+        for block in range(20):
+            store(block, b"gen0")
+        end_epoch(s)
+        for block in range(10):
+            store(block, b"gen1")
+        end_epoch(s)
+        for first in range(100, 172, 12):
+            committed = s.ctl.committed_meta.epoch
+            burst(range(first, first + 6), b"r%d" % first)
+            evicted_a = [block for _epoch, block, region in evictions
+                         if region == REGION_A]
+            burst([*evicted_a[-1:], *range(first - 4, first)],
+                  b"w%d" % first)
+            burst(range(first + 6, first + 12), b"r%d" % first)
+            if not s.ctl.crashed and not s.ctl.epochs.checkpoint_in_flight:
+                s.ctl.force_epoch_end("test")
+            while (s.ctl.committed_meta.epoch <= committed
+                   and not s.ctl.crashed):
+                s.engine.run(until=s.engine.now + 500)
+    finally:
+        probes.set_observer(previous)
+    return s, evictions, schedule
+
+
+@pytest.mark.parametrize("crash", [
+    {"crash_after_evictions": 40},
+    {"crash_site": "stage-done", "occurrence": 22},
+    {"crash_site": "commit", "occurrence": 7},
+], ids=["after-eviction", "mid-checkpoint", "after-commit"])
+def test_evictions_over_consecutive_epochs_recover_committed_prefix(
+        crash, monkeypatch):
+    s, evictions, schedule = _overflow_stream(monkeypatch, **crash)
+    assert s.ctl.crashed
+    epochs = sorted({epoch for epoch, _block, _region in evictions})
+    assert any(epochs[i + 2] - epochs[i] == 2
+               for i in range(len(epochs) - 2)), epochs
+    assert {region for _epoch, _block, region in evictions} == \
+        {REGION_A, REGION_B}
+
+    committed = s.ctl.committed_meta.epoch
+    recovered = recover_image(
+        s.config, s.memctrl.functional_store(DeviceKind.NVM))
+    writes = [schedule.get(epoch, []) for epoch in range(max(schedule) + 1)]
+    image = {block: recovered.visible_block(block)
+             for block in observed_blocks(writes)}
+    assert check_committed_prefix(
+        recovered.epoch, image, golden_images(writes), [committed],
+        s.config.block_bytes) == ""

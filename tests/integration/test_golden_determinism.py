@@ -33,6 +33,12 @@ WORKLOADS = ("random", "streaming", "sliding")
 NUM_OPS = 2000
 SEED = 1
 
+# The matrix above never overflows the default BTT, so a smaller table
+# adds the cells that reach mid-epoch emergency eviction (§4.3): both
+# its free home-region drops and its region-A consolidations.
+EVICTION_BTT_ENTRIES = 256
+EVICTION_WORKLOADS = ("sliding", "random")
+
 
 def _cells():
     for workload in WORKLOADS:
@@ -40,9 +46,18 @@ def _cells():
             yield f"{workload}/{system}", workload, system
 
 
-def _run_cell(workload: str, system: str) -> dict:
+def _eviction_cells():
+    for workload in EVICTION_WORKLOADS:
+        yield f"{workload}/thynvm@btt{EVICTION_BTT_ENTRIES}", workload
+
+
+def _run_eviction_cell(workload: str) -> dict:
+    return _run_cell(workload, "thynvm", btt_entries=EVICTION_BTT_ENTRIES)
+
+
+def _run_cell(workload: str, system: str, **overrides) -> dict:
     spec = micro_spec(workload, MICRO_FOOTPRINT, NUM_OPS, seed=SEED)
-    result = run_workload(system, spec.build(), experiment_config())
+    result = run_workload(system, spec.build(), experiment_config(**overrides))
     # Round-trip through JSON so the comparison sees exactly what the
     # golden file stores (e.g. dict key ordering, float rendering).
     return json.loads(json.dumps(result.stats.summary(), sort_keys=True))
@@ -66,9 +81,21 @@ def test_summary_matches_golden(cell, workload, system):
         f"must be byte-identical (see docs/PERFORMANCE.md)")
 
 
+@pytest.mark.parametrize("cell,workload", list(_eviction_cells()),
+                         ids=[cell for cell, _ in _eviction_cells()])
+def test_eviction_summary_matches_golden(cell, workload):
+    goldens = _load_goldens()
+    assert cell in goldens, f"no golden for {cell}"
+    assert _run_eviction_cell(workload) == goldens[cell], (
+        f"simulated results changed for {cell}: emergency eviction must "
+        f"pick the same victims (see docs/PERFORMANCE.md)")
+
+
 def _regen() -> None:
     goldens = {cell: _run_cell(workload, system)
                for cell, workload, system in _cells()}
+    goldens.update((cell, _run_eviction_cell(workload))
+                   for cell, workload in _eviction_cells())
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     with GOLDEN_PATH.open("w") as handle:
         json.dump(goldens, handle, indent=2, sort_keys=True)
