@@ -32,7 +32,7 @@ Classification table (by callee terminal name):
 ========================  ==========================================
 ``_issue_write``          durable write (``DATA_WRITE``), or
 ``_issue_fire_and_forget``  ``VOLATILE_WRITE`` when the device-kind
-``_issue_copy``           argument is literally ``DeviceKind.DRAM``;
+                          argument is literally ``DeviceKind.DRAM``;
                           a fire-and-forget with literal
                           ``is_write=False`` is a read — no effect
 ``write_block``           durable write (device steered dynamically)
@@ -87,12 +87,10 @@ COMMIT_ATTRIBUTE = "committed_meta"
 _KIND_ARG_WRITERS: Dict[str, int] = {
     "_issue_write": 0,
     "_issue_fire_and_forget": 0,
-    "_issue_copy": 2,            # dst_kind decides durability
 }
 _KIND_KEYWORDS: Dict[str, str] = {
     "_issue_write": "kind",
     "_issue_fire_and_forget": "kind",
-    "_issue_copy": "dst_kind",
 }
 _PLAIN_WRITERS = frozenset({"write_block", "flush_dirty"})
 # Bulk-run surface (PR 8's batched array-core).  Kind-aware names take

@@ -64,47 +64,23 @@ class JournalingController(StopTheWorldController):
 
     def _do_write(self, block: int, addr: int, origin: Origin,
                   data, callback, on_accept=None) -> None:
-        if self._ckpt_run is not None or self._aux_run is not None:
-            # Stop-the-world semantics: with a CPU attached no demand
-            # write can arrive mid-checkpoint (the core is stalled), but
-            # direct-driven uses can race the run.  Defer until commit
-            # so in-flight checkpoint copies never see torn buffers.
-            if on_accept is not None:
-                on_accept()
-            self._deferred_writes.append((addr, origin, data, callback, None))
-            return
         slot = self._buffer.get(block)
         if slot is None:
             if not self._free_slots:
                 self._handle_buffer_full(addr, origin, data, callback,
-                                         on_accept)
+                                         on_accept, "overflow")
                 return
             slot = self._free_slots.pop()
             self._buffer[block] = slot
             if len(self._free_slots) < self.buffer_capacity // 8:
                 # High watermark: end the epoch early so the boundary
                 # flush has headroom (avoids overflow mid-flush).
-                self.force_epoch_end("overflow")
+                self.epochs.request_end("overflow")
         self._issue_write(DeviceKind.DRAM, self._slot_addr(slot), origin,
                           data, callback, on_accept)
 
-    def _dirty_pressure_threshold(self):
+    def _dirty_pressure_threshold(self) -> int:
         return (7 * self.buffer_capacity) // 10
-
-    def _handle_buffer_full(self, addr, origin, data, callback,
-                            on_accept=None) -> None:
-        if on_accept is not None:
-            on_accept()
-        self._deferred_writes.append((addr, origin, data, callback, None))
-        if self._in_checkpoint and self._aux_run is None:
-            # Mid-cache-flush overflow: flush the journal without a CPU
-            # boundary to avoid deadlock.
-            self._run_aux_checkpoint(
-                self._checkpoint_stages(),
-                on_commit=self._commit_actions,
-                on_stage=self._aux_stage_done)
-        else:
-            self.force_epoch_end("overflow")
 
     # --- checkpointing -------------------------------------------------------------
 
@@ -142,13 +118,13 @@ class JournalingController(StopTheWorldController):
 
     def _capture_log(self) -> None:
         # The log is durable: commit it by recording where it lives.
-        self._write_record(MetaSnapshot(epoch=self.epoch,
+        self._write_record(MetaSnapshot(epoch=self.epochs.active_epoch,
                                         log_slots=dict(self._log_plan)))
 
     def _commit_actions(self) -> None:
         # In-place writes are durable: home now holds the full state and
         # the log is superseded.
-        self._write_record(MetaSnapshot(epoch=self.epoch))
+        self._write_record(MetaSnapshot(epoch=self.epochs.active_epoch))
         self._buffer.clear()
         self._free_slots = list(range(self.buffer_capacity))
         self._free_slots.reverse()
@@ -168,8 +144,3 @@ class JournalingController(StopTheWorldController):
         record = read_record(self.memctrl.functional_store(DeviceKind.NVM))
         # Read each log entry, write it home.
         return len(record.log_slots) * (per_read + per_write)
-
-    def visible_block_bytes(self, block: int) -> bytes:
-        """Current software-visible contents (pre-crash)."""
-        kind, hw_addr = self._read_location(block)
-        return self.memctrl.functional_store(kind).read(hw_addr)

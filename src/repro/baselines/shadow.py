@@ -67,22 +67,13 @@ class ShadowPagingController(StopTheWorldController):
 
     def _do_write(self, block: int, addr: int, origin: Origin,
                   data, callback, on_accept=None) -> None:
-        if self._ckpt_run is not None or self._aux_run is not None:
-            # Stop-the-world semantics: with a CPU attached no demand
-            # write can arrive mid-checkpoint (the core is stalled), but
-            # direct-driven uses can race the run.  Defer until commit
-            # so in-flight checkpoint copies never see torn buffers.
-            if on_accept is not None:
-                on_accept()
-            self._deferred_writes.append((addr, origin, data, callback, None))
-            return
         page = self.addresses.page_of_block(block)
         slot = self._pages.get(page)
         if slot is None:
             slot = self._copy_on_write(page)
             if slot is None:
                 self._handle_buffer_full(addr, origin, data, callback,
-                                         on_accept)
+                                         on_accept, "dram_full")
                 return
         self._dirty.add(page)
         offset = block - self.addresses.blocks_in_page(page).start
@@ -130,7 +121,7 @@ class ShadowPagingController(StopTheWorldController):
                 self._issue_write(DeviceKind.DRAM, dst_base + step,
                                   Origin.MIGRATION, None, None)
         if self.layout.slots_free < self.layout.slots_total // 8:
-            self.force_epoch_end("dram_full")
+            self.epochs.request_end("dram_full")
         return slot
 
     def _evict_clean_page(self) -> bool:
@@ -142,20 +133,9 @@ class ShadowPagingController(StopTheWorldController):
                 return True
         return False
 
-    def _dirty_pressure_threshold(self):
+    def _dirty_pressure_threshold(self) -> int:
         return (7 * self.layout.slots_total
                 * self.config.blocks_per_page) // 10
-
-    def _handle_buffer_full(self, addr, origin, data, callback,
-                            on_accept=None) -> None:
-        if on_accept is not None:
-            on_accept()
-        self._deferred_writes.append((addr, origin, data, callback, None))
-        if self._in_checkpoint and self._aux_run is None:
-            self._run_aux_checkpoint(self._checkpoint_stages(),
-                                     on_commit=self._commit_actions)
-        else:
-            self.force_epoch_end("dram_full")
 
     # --- checkpointing --------------------------------------------------------------
 
@@ -197,12 +177,6 @@ class ShadowPagingController(StopTheWorldController):
         # pages have no DRAM working copy for recovery to restore, so
         # every entry carries slot 0.
         self._write_record(MetaSnapshot(
-            epoch=self.epoch,
+            epoch=self.epochs.active_epoch,
             page_regions={page: (region, 0)
                           for page, region in self._page_region.items()}))
-
-    # --- functional view ----------------------------------------------------------------
-
-    def visible_block_bytes(self, block: int) -> bytes:
-        kind, hw_addr = self._read_location(block)
-        return self.memctrl.functional_store(kind).read(hw_addr)

@@ -33,7 +33,6 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from ..config import SystemConfig
 from ..cpu.state import CpuState
 from ..errors import CrashedError, ProtocolError, SimulationError
-from ..mem.address import AddressMap
 from ..mem.controller import DeviceKind, MemoryController
 from ..sim.engine import Engine
 from ..sim.request import MemoryRequest, Origin
@@ -42,11 +41,11 @@ from . import probes
 from .btt import BlockTranslationTable
 from .checkpoint import CheckpointRun, Job
 from .coordinator import SchemeCoordinator
-from .epoch import EpochManager
+from .lifecycle import EpochController
 from .metadata import BlockEntry, GcState, PageEntry
 from .ptt import PageTranslationTable
 from .recovery import MetaSnapshot, RecoveredState, recover, write_record
-from .regions import REGION_A, REGION_B, HardwareLayout, other_region
+from .regions import REGION_A, REGION_B, other_region
 
 
 @dataclass
@@ -67,8 +66,13 @@ class ThyNVMPolicy:
                 "page-only mode requires adopt_on_first_write")
 
 
-class ThyNVMController:
+class ThyNVMController(EpochController):
     """Software-transparent crash-consistent hybrid memory."""
+
+    #: The first forced boundary flushes the caches and checkpoints all
+    #: live working copies; the second makes the resulting metadata
+    #: durable even for data touched by the first.
+    DRAIN_ROUNDS = 2
 
     def __init__(
         self,
@@ -78,26 +82,15 @@ class ThyNVMController:
         stats: StatsCollector,
         policy: Optional[ThyNVMPolicy] = None,
     ) -> None:
-        self.engine = engine
-        self.config = config
-        self.memctrl = memctrl
-        self.stats = stats
+        super().__init__(engine, config, memctrl, stats)
         self.policy = policy if policy is not None else ThyNVMPolicy()
 
-        self.layout = HardwareLayout(config)
-        self.addresses = AddressMap(config)
         self.btt = BlockTranslationTable(config.btt_entries,
                                          config.btt_entry_bytes)
         self.ptt = PageTranslationTable(config.ptt_entries,
                                         config.ptt_entry_bytes)
         self.coordinator = SchemeCoordinator(config.promote_threshold,
                                              config.demote_threshold)
-        self.epochs = EpochManager(engine, config.epoch_cycles,
-                                   self._on_epoch_end)
-
-        # Execution complex (optional; direct-driven tests have none).
-        self.core = None
-        self.hierarchy = None
 
         # Working-copy indexes for O(work) checkpoint planning.
         self._temp_by_epoch: Dict[int, Set[int]] = {}
@@ -105,8 +98,6 @@ class ThyNVMController:
         self._dirty_pages: Set[int] = set()
 
         # Checkpoint pipeline state.
-        self._ckpt_run: Optional[CheckpointRun] = None
-        self._aux_run: Optional[CheckpointRun] = None
         self._aux_plan: List[PageEntry] = []
         self._plan_temp_entries: List[BlockEntry] = []
         self._plan_pending_entries: List[BlockEntry] = []
@@ -116,9 +107,9 @@ class ThyNVMController:
         self._boundary_gate: Optional[Dict[str, object]] = None
         self._boundary_cpu_state: Optional[CpuState] = None
 
-        # Deferred work.  Bounded: past the bound the CPU is stalled,
+        # Deferred work (table/slot overflow parks in the base class's
+        # _deferred_writes).  Bounded: past the bound the CPU is stalled,
         # which is how slow checkpointing becomes visible stall time.
-        self._deferred_writes: List[Tuple] = []      # table/slot overflow
         self._blocked_page_writes: List[Tuple] = []  # non-cooperation mode
         self._write_buffer_bound = 64
         self._backpressure_active = False
@@ -142,10 +133,6 @@ class ThyNVMController:
         self._gc_issued: List[BlockEntry] = []
         self._absorbed_to_drop: List[BlockEntry] = []
         self._migration_unserviced = 0
-        self._drain_rounds = 0
-        self._drain_cb: Optional[Callable[[], None]] = None
-        # §6 explicit persistence: (epoch-to-cover, callback) waiters.
-        self._persist_waiters: List[Tuple[int, Callable[[], None]]] = []
 
         # On-chip copy of the last committed metadata.  Its durable twin
         # is the recovery record in the NVM meta slot (the backup region
@@ -153,70 +140,24 @@ class ThyNVMController:
         # the pristine Home-Region image is always recoverable.
         self.committed_meta: MetaSnapshot = MetaSnapshot(epoch=-1)
 
-        self._crashed = False
-        self._started = False
+    @property
+    def committed_epoch(self) -> int:
+        return self.committed_meta.epoch
 
-    # ------------------------------------------------------------------
-    # Wiring
-    # ------------------------------------------------------------------
-
-    def attach_execution(self, core, hierarchy) -> None:
-        """Connect the CPU complex so epoch boundaries can flush it."""
-        self.core = core
-        self.hierarchy = hierarchy
-        if hierarchy is None:
-            return
+    def _dirty_pressure_threshold(self) -> int:
         # End epochs before the cache accumulates more dirty blocks than
         # the translation tables can absorb at the boundary flush
         # (Dirty-Block-Index-style pressure tracking; paper's [68]).
         if self.policy.enable_block_remapping:
-            threshold = (7 * self.btt.capacity) // 10
-        else:
-            threshold = (7 * self.layout.slots_total
-                         * self.config.blocks_per_page) // 10
-        hierarchy.set_dirty_pressure(
-            threshold, lambda: self.epochs.request_end("overflow"))
-
-    def start(self) -> None:
-        """Arm the epoch timer; call once before simulation starts."""
-        if self._crashed:
-            raise CrashedError("controller has crashed; recover() it instead")
-        if self._started:
-            raise SimulationError("controller already started")
-        self._started = True
-        self.epochs.start()
-
-    @property
-    def crashed(self) -> bool:
-        """True once :meth:`crash` has been called (until restore)."""
-        return self._crashed
-
-    def stop(self) -> None:
-        """Stop generating epochs (end of run); in-flight work finishes."""
-        self.epochs.stop()
+            return (7 * self.btt.capacity) // 10
+        return (7 * self.layout.slots_total
+                * self.config.blocks_per_page) // 10
 
     # ------------------------------------------------------------------
     # MemoryPort: reads
     # ------------------------------------------------------------------
 
-    def read_block(self, addr: int, origin: Origin,
-                   callback: Callable[[MemoryRequest], None]) -> None:
-        """Service a load: translate to the software-visible version."""
-        if self._crashed:
-            raise CrashedError("read_block on a crashed controller")
-        block = self.addresses.block_index(addr)
-        kind, hw_addr = self._visible_location(block)
-
-        def issue() -> None:
-            if self._crashed:
-                return
-            request = MemoryRequest(hw_addr, False, origin, callback=callback)
-            if not self.memctrl.submit(kind, request):
-                self.memctrl.wait_for_slot(kind, False, issue)
-
-        self.engine.schedule(self.config.table_lookup_latency, issue)
-
-    def _visible_location(self, block: int) -> Tuple[DeviceKind, int]:
+    def _read_location(self, block: int) -> Tuple[DeviceKind, int]:
         """Device + hardware address of the software-visible version
         (§4.1: W_active if it exists, else C_last, else home)."""
         page = self.addresses.page_of_block(block)
@@ -397,9 +338,7 @@ class ThyNVMController:
             # DRAM pressure genuinely loses epoch atomicity this way
             # (part of why the paper rejects it); the recovery-atomicity
             # tests therefore exclude this ablation.
-            if on_accept is not None:
-                on_accept()
-            self._defer_write(addr, origin, data, callback, None,
+            self._defer_write(addr, origin, data, callback, on_accept,
                               "dram_full")
             # If every DRAM page is dirty, no epoch boundary can free
             # one (the boundary flush is itself waiting on this write):
@@ -475,22 +414,6 @@ class ThyNVMController:
         entry.temp_epochs.add(epoch)
         self._temp_by_epoch.setdefault(epoch, set()).add(entry.block)
 
-    def _issue_write(self, kind: DeviceKind, hw_addr: int, origin: Origin,
-                     data, callback, on_accept=None) -> None:
-        request = MemoryRequest(hw_addr, True, origin, data=data,
-                                callback=callback)
-
-        def try_submit() -> None:
-            if self._crashed:
-                return
-            if self.memctrl.submit(kind, request):
-                if on_accept is not None:
-                    on_accept()
-            else:
-                self.memctrl.wait_for_slot(kind, True, try_submit)
-
-        try_submit()
-
     def _issue_fire_and_forget(self, kind: DeviceKind, hw_addr: int,
                                is_write: bool, origin: Origin,
                                data=None) -> None:
@@ -524,9 +447,7 @@ class ThyNVMController:
         last-resort relief valve rather than a steady state; functional
         crash tests size their working sets to stay clear of it.
         """
-        if on_accept is not None:
-            on_accept()
-        self._deferred_writes.append((addr, origin, data, callback, None))
+        self._park_write(addr, origin, data, callback, on_accept)
         if len(self._deferred_writes) > self._write_buffer_bound:
             self._backpressure_stall("backpressure")
         self.epochs.request_end(reason)
@@ -607,33 +528,6 @@ class ThyNVMController:
     # ------------------------------------------------------------------
     # Epoch boundary (execution phase -> checkpointing phase)
     # ------------------------------------------------------------------
-
-    def force_epoch_end(self, reason: str = "manual") -> None:
-        """Public hook: end the active epoch as soon as possible."""
-        if self._crashed:
-            raise CrashedError("force_epoch_end on a crashed controller")
-        self.epochs.request_end(reason)
-
-    def persist_barrier(self, callback: Callable[[], None]) -> None:
-        """Durability barrier (§6's explicit persistence instruction).
-
-        Ends the active epoch and fires ``callback`` once a checkpoint
-        covering every store issued so far has committed.
-        """
-        if self._crashed:
-            raise CrashedError("persist_barrier on a crashed controller")
-        target = self.epochs.active_epoch
-        self._persist_waiters.append((target, callback))
-        self.epochs.request_end("persist")
-
-    def _fire_persist_waiters(self) -> None:
-        committed = self.committed_meta.epoch
-        ready = [cb for target, cb in self._persist_waiters
-                 if committed >= target]
-        self._persist_waiters = [(t, cb) for t, cb in self._persist_waiters
-                                 if committed < t]
-        for callback in ready:
-            callback()
 
     def _on_epoch_end(self, reason: str) -> None:
         if self._crashed:
@@ -843,11 +737,7 @@ class ThyNVMController:
         # The flips, merges and drops below are where entries turn idle.
         self._evict_candidates = None
         epoch = self.epochs.ckpt_epoch
-        run = self._ckpt_run
-        self._ckpt_run = None
-        if run is not None and run.duration is not None:
-            self.stats.checkpoint_busy_cycles += run.duration
-            self.stats.checkpoint_duration.record(run.duration)
+        self._account_commit()
 
         # 1. Version flips: working copies become C_last (§3.2, §3.3).
         for entry in self._plan_temp_entries:
@@ -892,17 +782,17 @@ class ThyNVMController:
         # 5. Scheme switching for the coming epochs (§3.4).
         self._apply_scheme_switches()
 
-        # 6. Bookkeeping and pipeline release.
-        self.stats.epochs_completed += 1
+        # 6. Bookkeeping and pipeline release: an end request that
+        # arrived mid-checkpoint is honoured before anything else.
         self._plan_pages = []
         self._age_eviction_shadows()
         self.epochs.checkpoint_committed()
+        self.epochs.resume_pending()
         self._retry_blocked_writes()
         self._release_backpressure()
         self._fire_persist_waiters()
         probes.notify("commit")
-        if self._drain_cb is not None:
-            self._drain_step()
+        self._drain_step()
 
     def _age_eviction_shadows(self) -> None:
         for shadow in (self._evicted_blocks, self._evicted_pages):
@@ -1205,85 +1095,17 @@ class ThyNVMController:
                 entry.gc_state = GcState.NONE
                 self._absorbed_to_drop.append(entry)
 
-    def _issue_copy(self, src_kind: DeviceKind, src_addr: int,
-                    dst_kind: DeviceKind, dst_addr: int,
-                    origin: Origin) -> None:
-        """Timed read-then-write copy with functional payload transfer."""
-
-        def read_done(request: MemoryRequest) -> None:
-            self._issue_fire_and_forget(dst_kind, dst_addr, True, origin,
-                                        data=request.data)
-
-        request = MemoryRequest(src_addr, False, origin, callback=read_done)
-
-        def try_submit() -> None:
-            if self._crashed:
-                return
-            if not self.memctrl.submit(src_kind, request):
-                self.memctrl.wait_for_slot(src_kind, False, try_submit)
-
-        try_submit()
-
     # ------------------------------------------------------------------
     # Deferred / blocked write retry
     # ------------------------------------------------------------------
 
     def _retry_blocked_writes(self) -> None:
-        deferred, self._deferred_writes = self._deferred_writes, []
         blocked, self._blocked_page_writes = self._blocked_page_writes, []
-        for addr, origin, data, callback, on_accept in blocked + deferred:
-            self.write_block(addr, origin, data, callback, on_accept)
+        self._replay_deferred_writes(blocked)
 
     # ------------------------------------------------------------------
-    # Drain (end of a benchmark run)
+    # Recovery
     # ------------------------------------------------------------------
-
-    def drain(self, on_done: Callable[[], None]) -> None:
-        """Finish all outstanding epochs/checkpoints, then call back.
-
-        Runs two forced epoch boundaries: the first flushes the caches
-        and checkpoints all live working copies, the second makes the
-        resulting metadata durable even for data touched by the first.
-        """
-        if self._crashed:
-            raise CrashedError("drain on a crashed controller")
-        if self._drain_cb is not None:
-            raise SimulationError("drain already in progress")
-        self._drain_cb = on_done
-        self._drain_rounds = 2
-        self.epochs.request_end("drain")
-
-    def _drain_step(self) -> None:
-        self._drain_rounds -= 1
-        if self._drain_rounds > 0:
-            self.epochs.request_end("drain")
-            return
-        callback, self._drain_cb = self._drain_cb, None
-        if callback is not None:
-            callback()
-
-    # ------------------------------------------------------------------
-    # Crash + recovery
-    # ------------------------------------------------------------------
-
-    def crash(self) -> None:
-        """Power failure: volatile state (DRAM, queues, live tables,
-        CPU, caches) is lost; NVM and its recovery record survive."""
-        if self._crashed:
-            raise CrashedError("controller has already crashed")
-        self._crashed = True
-        if self._ckpt_run is not None:
-            self._ckpt_run.abort()
-            self._ckpt_run = None
-        if self._aux_run is not None:
-            self._aux_run.abort()
-            self._aux_run = None
-        self._boundary_gate = None
-        self.memctrl.crash()
-        if self.core is not None:
-            self.core.kill()
-        if self.hierarchy is not None:
-            self.hierarchy.invalidate_all()
 
     def recover(self) -> RecoveredState:
         """Run the §4.5 recovery procedure against NVM contents alone
@@ -1340,25 +1162,14 @@ class ThyNVMController:
         self._plan_counts = {}
         self._planned_stages = []
         self._boundary_gate = None
-        self._deferred_writes = []
         self._blocked_page_writes = []
         self._backpressure_active = False
         self._gc_issued = []
         self._absorbed_to_drop = []
         self._migration_unserviced = 0
-        self._persist_waiters = []
-        self._drain_cb = None
-        self._drain_rounds = 0
-        self._ckpt_run = None
-        self._aux_run = None
         self.coordinator = SchemeCoordinator(self.config.promote_threshold,
                                              self.config.demote_threshold)
-        self.epochs = EpochManager(self.engine, self.config.epoch_cycles,
-                                   self._on_epoch_end)
-        self.epochs.active_epoch = epoch
-        self.memctrl.power_on()
-        self._crashed = False
-        self.epochs.start()
+        self._power_on(epoch)
         # Timed restore traffic (page copies) — recovery's latency is
         # reported on the RecoveredState; here we only account traffic.
         for page, (region, slot) in meta.page_regions.items():
@@ -1375,11 +1186,6 @@ class ThyNVMController:
     # ------------------------------------------------------------------
     # Functional introspection (tests, examples)
     # ------------------------------------------------------------------
-
-    def visible_block_bytes(self, block: int) -> bytes:
-        """Current software-visible contents of a physical block."""
-        kind, hw_addr = self._visible_location(block)
-        return self.memctrl.functional_store(kind).read(hw_addr)
 
     def software_view(self, num_blocks: int) -> Dict[int, bytes]:
         """Functional image of the first ``num_blocks`` physical blocks."""

@@ -12,6 +12,11 @@ timer, overflow-forced early endings, and the "epoch extension" rule
 current epoch simply keeps executing until that checkpoint commits).
 The actual checkpoint work is delegated to the owning controller
 through the ``on_end`` callback.
+
+Stop-the-world controllers (Figure 3(a)) run the same pipeline with
+the overlap removed: the next epoch's execution starts only at the
+commit, so they call :meth:`EpochManager.execution_phase_done` and
+:meth:`EpochManager.checkpoint_committed` back to back there.
 """
 
 from __future__ import annotations
@@ -125,14 +130,24 @@ class EpochManager:
         self._arm_timer()
 
     def checkpoint_committed(self) -> None:
-        """Epoch ``ckpt_epoch``'s checkpoint is durable."""
+        """Epoch ``ckpt_epoch``'s checkpoint is durable.
+
+        An end request that arrived meanwhile stays pending until the
+        owner calls :meth:`resume_pending`, at its own point of the
+        commit sequence."""
         if self.phase is not Phase.CHECKPOINTING or self.ckpt_epoch is None:
             raise SimulationError("commit without a checkpoint in flight")
         self.ckpt_epoch = None
         self._set_phase(Phase.EXECUTING)
-        if self._end_pending is not None:
-            reason, self._end_pending = self._end_pending, None
-            self.request_end(reason)
+
+    def resume_pending(self) -> bool:
+        """Honour the end request that arrived while the pipeline was
+        busy (epoch extension).  Returns whether there was one."""
+        if self._end_pending is None:
+            return False
+        reason, self._end_pending = self._end_pending, None
+        self.request_end(reason)
+        return True
 
     # --- queries -----------------------------------------------------------------
 

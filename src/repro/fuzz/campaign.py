@@ -29,8 +29,8 @@ from .. import diskcache
 from ..harness.parallel import DEFAULT_CACHE_DIR, code_version, fan_out
 from .corpus import DEFAULT_CORPUS_DIR, archive, load_corpus
 from .minimize import minimize
-from .plan import CrashPlan, parse_plan
-from .runner import FUZZ_SYSTEMS, fuzz_config, run_plan
+from .plan import FUZZ_SYSTEMS, CrashPlan, parse_plan
+from .runner import fuzz_config, run_plan
 from .workloads import WORKLOAD_NAMES
 
 _CACHE_FORMAT = 1

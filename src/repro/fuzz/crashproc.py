@@ -5,11 +5,12 @@ to end with a *real* process death, instead of the in-process
 ``controller.crash()`` the fuzz campaign uses:
 
 1. **child** — a subprocess drives the plan's workload against
-   file-backed stores (``store_mode="mmap"``).  The controllers write
-   their own recovery records into the NVM image's meta slot, exactly
-   as in every other run; the child records nothing itself.  The fuzz
-   runner's injector counts protocol events; at the armed site the
-   child prints a marker line and ``SIGSTOP``\\ s itself mid-simulation.
+   file-backed stores (``store_mode="mmap"``) with the fuzz runner's
+   own drive loop.  The controllers write their own recovery records
+   into the NVM image's meta slot, exactly as in every other run; the
+   child records nothing itself.  It prints the committed epoch at
+   every ``commit`` probe; at the armed site it prints a marker line
+   and ``SIGSTOP``\\ s itself mid-simulation.
 2. **kill** — the parent, seeing the marker, delivers ``SIGKILL``.
    Nothing in the child runs again: whatever reached the ``MAP_SHARED``
    file pages is what survives — precisely the process-crash
@@ -21,7 +22,10 @@ to end with a *real* process death, instead of the in-process
    through the §4.5 lookup.
 4. **oracle** — the parent regenerates the golden images from the
    plan's deterministic schedule and applies the fuzz runner's
-   committed-prefix oracle, allowing one commit to race the kill.
+   committed-prefix oracle: recovery must land on the newest epoch
+   the child reported committed (journaling: or the next one, whose
+   log may be durable).  The report is written at the commit probe
+   itself, before the freeze, so no commit can race the kill.
 """
 
 from __future__ import annotations
@@ -40,19 +44,14 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..config import SystemConfig
-from ..core import probes
 from ..core.recovery import recover_image
 from ..core.regions import HardwareLayout
 from ..errors import WorkloadError
 from ..mem.controller import DeviceKind
 from ..mem.mmapstore import MmapStore
-from ..sim.engine import Engine
-from ..sim.request import Origin
-from ..stats.collector import StatsCollector
 from .plan import FUZZ_SYSTEMS, CrashPlan
-from .runner import (CrashInjector, _advance, _build_controller,
-                     _committed_past, _ready_for_boundary, _settle_writes,
-                     check_committed_prefix, fuzz_config, golden_images)
+from .runner import (CrashInjector, check_committed_prefix, drive_plan,
+                     fuzz_config, golden_images)
 from .workloads import build_schedule, observed_blocks
 
 #: Child stdout protocol: one marker per line, flushed before SIGSTOP.
@@ -95,12 +94,19 @@ def sweep_plans(quick: bool = False) -> List[CrashPlan]:
 
 
 class _FreezeInjector(CrashInjector):
-    """The fuzz runner's injector, but at the armed site it announces
-    readiness on stdout and stops the process so the parent can
-    deliver the real ``SIGKILL`` instead of calling
-    ``controller.crash()``.  Like the in-process crash, the stop is
-    scheduled, so the protocol method that fired the probe unwinds
-    first."""
+    """The fuzz runner's injector, but it reports every commit on
+    stdout, and at the armed site it announces readiness and stops the
+    process so the parent can deliver the real ``SIGKILL`` instead of
+    calling ``controller.crash()``.  Like the in-process crash, the
+    stop is scheduled, so the protocol method that fired the probe
+    unwinds first."""
+
+    def observe(self, kind: str, detail: str) -> None:
+        if kind == "commit":
+            sys.stdout.write(
+                f"{_COMMIT_PREFIX}{self.controller.committed_epoch}\n")
+            sys.stdout.flush()
+        super().observe(kind, detail)
 
     def _do_crash(self) -> None:
         sys.stdout.write(READY_MARKER + "\n")
@@ -112,41 +118,14 @@ def run_child(plan: CrashPlan, store_dir: str) -> int:
     """Drive the plan's workload; freeze at the armed site.
 
     Runs in the child process.  Prints ``CRASHPROC-COMMIT <epoch>``
-    after each observed commit (the parent's committed-prefix
-    knowledge), ``CRASHPROC-READY`` then ``SIGSTOP`` at the crash
-    site, or ``CRASHPROC-UNREACHED`` if the site never fires.
+    at each commit probe (the parent's committed-prefix knowledge),
+    ``CRASHPROC-READY`` then ``SIGSTOP`` at the crash site, or
+    ``CRASHPROC-UNREACHED`` if the site never fires.
     """
     config = crashproc_config(store_dir)
     schedule = build_schedule(plan.workload, plan.seed, plan.epochs,
                               plan.blocks, config)
-    engine = Engine()
-    stats = StatsCollector(config.block_bytes)
-    controller = _build_controller(plan.system, engine, config, stats)
-    nvm = controller.memctrl.functional_store(DeviceKind.NVM)
-    if not isinstance(nvm, MmapStore):
-        raise WorkloadError("crashproc child requires mmap-backed stores")
-
-    injector = _FreezeInjector(engine, controller, plan)
-    previous = probes.set_observer(injector.observe)
-    try:
-        for epoch, writes in enumerate(schedule):
-            for block, data in writes:
-                controller.write_block(block * config.block_bytes,
-                                       Origin.CPU, data=data)
-                engine.run(until=engine.now + 1_000)
-            _settle_writes(engine, controller, stats)
-            _advance(engine, controller,
-                     _ready_for_boundary(plan.system, controller))
-            controller.force_epoch_end("crashproc")
-            _advance(engine, controller,
-                     _committed_past(plan.system, controller, epoch))
-            if _committed_past(plan.system, controller, epoch)():
-                sys.stdout.write(f"{_COMMIT_PREFIX}{epoch}\n")
-                sys.stdout.flush()
-        # Let a jitter-delayed freeze play out before giving up.
-        engine.run(until=engine.now + 1_000_000)
-    finally:
-        probes.set_observer(previous)
+    drive_plan(plan, schedule, config, _FreezeInjector)
     sys.stdout.write(UNREACHED_MARKER + "\n")
     sys.stdout.flush()
     return 0
@@ -333,13 +312,14 @@ def run_crashproc(plan: CrashPlan, store_dir: Optional[str] = None,
             image = {int(block): bytes.fromhex(data)
                      for block, data in recovered["image"].items()}
             result.recovered_epoch = epoch
-            # A commit can land between the child's last COMMIT line and
-            # the kill, so recovery may also land one epoch past it (which
-            # is also journaling's pending epoch); that epoch's golden
-            # still fully constrains the image.
+            # Redo journaling commits early: once the log stage is
+            # durable, the next epoch is recoverable by replay.
             newest = max(committed, default=-1)
+            accepted = [newest]
+            if plan.system == "journal":
+                accepted.append(newest + 1)
             result.detail = check_committed_prefix(
-                epoch, image, golden_images(schedule), [newest, newest + 1],
+                epoch, image, golden_images(schedule), accepted,
                 config.block_bytes)
             if result.detail:
                 result.outcome = "fail"

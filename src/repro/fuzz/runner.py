@@ -24,33 +24,23 @@ the code version.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Type
 
-from ..baselines.journaling import JournalingController
-from ..baselines.shadow import ShadowPagingController
-from ..baselines.single_granularity import (block_only_policy,
-                                            page_only_policy)
 from ..config import SystemConfig, small_test_config
 from ..core import probes
-from ..core.controller import ThyNVMController, ThyNVMPolicy
 from ..core.epoch import Phase
 from ..core.recovery import recover_image
 from ..errors import CrashedError, ReproError, WorkloadError
+from ..harness.systems import build_controller
 from ..mem.controller import DeviceKind, MemoryController
 from ..sim.engine import Engine
 from ..sim.request import Origin
 from ..stats.collector import StatsCollector
-from .plan import FUZZ_SYSTEMS, CrashPlan
+from .plan import CrashPlan
 from .workloads import Schedule, build_schedule, observed_blocks
 
 #: Epoch timer parked far in the future: the workload drives boundaries.
 _MANUAL_EPOCHS = 10 ** 12
-
-_THYNVM_POLICIES: Dict[str, Callable[[], Optional[ThyNVMPolicy]]] = {
-    "thynvm": lambda: None,
-    "thynvm_block_only": block_only_policy,
-    "thynvm_page_only": page_only_policy,
-}
 
 
 def fuzz_config() -> SystemConfig:
@@ -127,24 +117,6 @@ class CrashInjector:
         self.controller.crash()
 
 
-def _build_controller(system: str, engine: Engine, config: SystemConfig,
-                      stats: StatsCollector) -> Any:
-    memctrl = MemoryController(engine, config, stats)
-    controller: Any
-    if system in _THYNVM_POLICIES:
-        policy = _THYNVM_POLICIES[system]()
-        controller = ThyNVMController(engine, config, memctrl, stats, policy)
-    elif system == "journal":
-        controller = JournalingController(engine, config, memctrl, stats)
-    elif system == "shadow":
-        controller = ShadowPagingController(engine, config, memctrl, stats)
-    else:
-        raise WorkloadError(f"unknown fuzz system {system!r} "
-                            f"(have: {', '.join(FUZZ_SYSTEMS)})")
-    controller.start()
-    return controller
-
-
 def _advance(engine: Engine, controller: Any, cond: Callable[[], bool],
              limit: int = 500_000_000) -> None:
     """Run until ``cond()``, the controller crashes, or events run dry."""
@@ -183,18 +155,13 @@ def _settle_writes(engine: Engine, controller: Any,
         engine.run(until=engine.now + chunk)
 
 
-def _ready_for_boundary(system: str,
-                        controller: Any) -> Callable[[], bool]:
-    if system in _THYNVM_POLICIES:
-        return lambda: controller.epochs.phase is Phase.EXECUTING
-    return lambda: not controller._in_checkpoint
+def _ready_for_boundary(controller: Any) -> Callable[[], bool]:
+    """No boundary flush or checkpoint is in flight."""
+    return lambda: controller.epochs.phase is Phase.EXECUTING
 
 
-def _committed_past(system: str, controller: Any,
-                    epoch: int) -> Callable[[], bool]:
-    if system in _THYNVM_POLICIES:
-        return lambda: controller.committed_meta.epoch >= epoch
-    return lambda: controller.epoch > epoch
+def _committed_past(controller: Any, epoch: int) -> Callable[[], bool]:
+    return lambda: controller.committed_epoch >= epoch
 
 
 def golden_images(schedule: Schedule) -> Dict[int, Dict[int, bytes]]:
@@ -230,17 +197,24 @@ def check_committed_prefix(epoch: int, image: Dict[int, bytes],
     return ""
 
 
-def run_plan(plan: CrashPlan,
-             config: Optional[SystemConfig] = None) -> FuzzResult:
-    """Execute one crash plan end to end (pure function of the plan)."""
-    config = config if config is not None else fuzz_config()
-    schedule = build_schedule(plan.workload, plan.seed, plan.epochs,
-                              plan.blocks, config)
+def drive_plan(plan: CrashPlan, schedule: Schedule, config: SystemConfig,
+               injector_type: Type[CrashInjector] = CrashInjector,
+               ) -> Tuple[Any, CrashInjector, int, Optional[int]]:
+    """Drive ``schedule`` into a fresh ``plan.system`` controller, one
+    forced epoch boundary per schedule epoch, with the plan's crash
+    armed by an ``injector_type`` probe observer.
 
+    Returns the controller, the injector, the newest epoch committed
+    before the crash (-1: none) and the last epoch whose boundary was
+    forced (None: none).
+    """
     engine = Engine()
     stats = StatsCollector(config.block_bytes)
-    controller = _build_controller(plan.system, engine, config, stats)
-    injector = CrashInjector(engine, controller, plan)
+    memctrl = MemoryController(engine, config, stats)
+    controller = build_controller(plan.system, engine, config, memctrl,
+                                  stats)
+    controller.start()
+    injector = injector_type(engine, controller, plan)
 
     committed = -1                    # newest epoch committed pre-crash
     forced: Optional[int] = None      # epoch whose boundary was forced
@@ -260,8 +234,7 @@ def run_plan(plan: CrashPlan,
             if controller.crashed:
                 break
             _settle_writes(engine, controller, stats)
-            _advance(engine, controller,
-                     _ready_for_boundary(plan.system, controller))
+            _advance(engine, controller, _ready_for_boundary(controller))
             if controller.crashed:
                 break
             forced = epoch
@@ -269,11 +242,10 @@ def run_plan(plan: CrashPlan,
                 controller.force_epoch_end("fuzz")
             except CrashedError:
                 break
-            _advance(engine, controller,
-                     _committed_past(plan.system, controller, epoch))
+            _advance(engine, controller, _committed_past(controller, epoch))
             # The commit may have landed in the same advance step as the
             # crash: it counts whenever it happened, crash or not.
-            if _committed_past(plan.system, controller, epoch)():
+            if _committed_past(controller, epoch)():
                 committed = epoch
             if controller.crashed:
                 break
@@ -282,7 +254,17 @@ def run_plan(plan: CrashPlan,
         engine.run(until=engine.now + 1_000_000)
     finally:
         probes.set_observer(previous)
+    return controller, injector, committed, forced
 
+
+def run_plan(plan: CrashPlan,
+             config: Optional[SystemConfig] = None) -> FuzzResult:
+    """Execute one crash plan end to end (pure function of the plan)."""
+    config = config if config is not None else fuzz_config()
+    schedule = build_schedule(plan.workload, plan.seed, plan.epochs,
+                              plan.blocks, config)
+    controller, injector, committed, forced = drive_plan(plan, schedule,
+                                                         config)
     result = FuzzResult(plan=str(plan), outcome="pass",
                         crash_cycle=injector.crash_cycle,
                         committed_epochs=committed + 1,

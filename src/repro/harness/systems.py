@@ -2,7 +2,9 @@
 
 ``build_system(name, config)`` assembles a full machine — engine,
 memory controller, consistency system, cache hierarchy, CPU core and a
-stats collector — for any of:
+stats collector — for any of the systems below;
+``build_controller`` builds just the consistency system, for callers
+that drive it directly (the fuzz runner, ``repro crashproc``):
 
 * ``ideal_dram`` — DRAM-only, crash consistency assumed free,
 * ``ideal_nvm``  — NVM-only, crash consistency assumed free,
@@ -15,7 +17,7 @@ stats collector — for any of:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ..baselines.ideal import IdealController
 from ..baselines.journaling import JournalingController
@@ -79,6 +81,33 @@ class SimulatedSystem:
             self.cores = [self.core]
 
 
+#: The ThyNVM variants and the policy each defaults to.
+_THYNVM_POLICIES: Dict[str, Callable[[], ThyNVMPolicy]] = {
+    "thynvm": ThyNVMPolicy,
+    "thynvm_block_only": block_only_policy,
+    "thynvm_page_only": page_only_policy,
+}
+
+
+def build_controller(name: str, engine: Engine, config: SystemConfig,
+                     memctrl: MemoryController, stats: StatsCollector,
+                     policy: Optional[ThyNVMPolicy] = None) -> Any:
+    """The consistency controller (MemoryPort) of system ``name``, not
+    yet started.  ``policy`` overrides a ThyNVM variant's default."""
+    if name in ("ideal_dram", "ideal_nvm"):
+        device = DeviceKind.DRAM if name == "ideal_dram" else DeviceKind.NVM
+        return IdealController(engine, config, memctrl, stats, device)
+    if name == "journal":
+        return JournalingController(engine, config, memctrl, stats)
+    if name == "shadow":
+        return ShadowPagingController(engine, config, memctrl, stats)
+    if name not in _THYNVM_POLICIES:
+        raise ConfigError(f"unknown system {name!r}; pick one of {SYSTEM_NAMES}")
+    if policy is None:
+        policy = _THYNVM_POLICIES[name]()
+    return ThyNVMController(engine, config, memctrl, stats, policy)
+
+
 def build_system(name: str, config: SystemConfig,
                  policy: Optional[ThyNVMPolicy] = None) -> SimulatedSystem:
     """Assemble one of the evaluated systems."""
@@ -87,26 +116,7 @@ def build_system(name: str, config: SystemConfig,
     engine = Engine()
     stats = StatsCollector(config.block_bytes)
     memctrl = MemoryController(engine, config, stats)
-
-    if name == "ideal_dram":
-        memsys = IdealController(engine, config, memctrl, stats,
-                                 DeviceKind.DRAM)
-    elif name == "ideal_nvm":
-        memsys = IdealController(engine, config, memctrl, stats,
-                                 DeviceKind.NVM)
-    elif name == "journal":
-        memsys = JournalingController(engine, config, memctrl, stats)
-    elif name == "shadow":
-        memsys = ShadowPagingController(engine, config, memctrl, stats)
-    else:
-        if policy is None:
-            if name == "thynvm_block_only":
-                policy = block_only_policy()
-            elif name == "thynvm_page_only":
-                policy = page_only_policy()
-            else:
-                policy = ThyNVMPolicy()
-        memsys = ThyNVMController(engine, config, memctrl, stats, policy)
+    memsys = build_controller(name, engine, config, memctrl, stats, policy)
 
     if config.num_cores == 1:
         hierarchy = CacheHierarchy(engine, config, memsys, stats)

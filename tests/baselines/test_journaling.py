@@ -32,9 +32,9 @@ def write(system, block, data):
 
 
 def end_epoch(system):
-    epoch = system.ctl.epoch
+    epoch = system.ctl.epochs.active_epoch
     system.ctl.force_epoch_end("test")
-    run_until(system.engine, lambda: system.ctl.epoch > epoch)
+    run_until(system.engine, lambda: system.ctl.committed_epoch >= epoch)
 
 
 def recover(system):

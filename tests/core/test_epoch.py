@@ -44,9 +44,14 @@ def test_end_deferred_while_checkpointing():
     manager.request_end("a")
     manager.execution_phase_done()
     manager.request_end("b")            # previous ckpt still in flight
+    manager.request_end("c")            # only the first one is kept
     assert ended == ["a"]
     manager.checkpoint_committed()
+    assert ended == ["a"]               # the owner picks when to resume
+    assert manager.resume_pending()
     assert ended == ["a", "b"]          # honoured at commit (extension)
+    assert manager.phase is Phase.ENDING
+    assert not manager.resume_pending()
 
 
 def test_stale_timer_ignored():

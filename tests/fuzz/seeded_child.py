@@ -42,7 +42,7 @@ def _record_planned_page_map(ctl):
     planned = dict(ctl._page_region)
     planned.update((page, dst) for page, _slot, dst in ctl._flush_plan)
     ctl._write_record(MetaSnapshot(
-        epoch=ctl.epoch,
+        epoch=ctl.epochs.active_epoch,
         page_regions={page: (region, 0) for page, region in planned.items()}))
 
 

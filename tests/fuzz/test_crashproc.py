@@ -15,8 +15,7 @@ import pytest
 
 from repro.fuzz.crashproc import (
     QUICK_SWEEP_SITES, SWEEP_SITES, run_crashproc, sweep_plans)
-from repro.fuzz.plan import parse_plan
-from repro.fuzz.runner import FUZZ_SYSTEMS
+from repro.fuzz.plan import FUZZ_SYSTEMS, parse_plan
 
 
 def _plan(system: str, site: str):

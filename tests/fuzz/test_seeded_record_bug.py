@@ -5,9 +5,8 @@ now get the *timing* of that write wrong.  The seeded bug writes the
 record when the checkpoint is planned: ThyNVM's tables and shadow
 paging's page map before the data they point at and the commit
 record are durable, the journal's log record before the log stage is
-(``seeded_child.py``).  In-process fuzz plans must catch it on every
-system, and a crashproc sweep cell on every system whose early record
-points at data not yet written.
+(``seeded_child.py``).  In-process fuzz plans and a crashproc sweep
+cell must both catch it on every system.
 """
 
 import sys
@@ -42,12 +41,8 @@ def test_early_record_fails_in_process(monkeypatch, plan):
     assert result.recovered_epoch == 0           # the uncommitted epoch
 
 
-# Block remapping writes its working copies straight to NVM, so under
-# thynvm and thynvm_block_only the early record's image is already
-# right at checkpoint start; only its epoch is early, and crashproc
-# tolerates one commit racing the kill.  The in-process plans above,
-# with no such tolerance, catch those two.
-@pytest.mark.parametrize("system", ["thynvm_page_only", "journal",
+@pytest.mark.parametrize("system", ["thynvm", "thynvm_block_only",
+                                    "thynvm_page_only", "journal",
                                     "shadow"])
 def test_early_record_fails_a_crashproc_sweep_cell(monkeypatch, tmp_path,
                                                    system):

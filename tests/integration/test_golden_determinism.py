@@ -8,6 +8,12 @@ byte-identical — any perf work that changes a single simulated outcome
 (cycle counts, traffic breakdowns, epoch counts, stall attribution)
 fails here, not in a noisy figure diff.
 
+``tests/golden/fuzz_probe_sequences.json`` pins the protocol's probe
+stream: for every fuzz system on both fuzz workloads, the ordered
+``kind.detail`` events of the census plan, run-length encoded.  Crash
+plans address sites by occurrence, so a reordered, dropped or extra
+probe silently moves every pinned plan's crash point; this fails first.
+
 The guard stays in tree to protect future perf work.  Regenerate the
 goldens only when a change is *supposed* to alter simulated results:
 
@@ -21,11 +27,19 @@ from pathlib import Path
 
 import pytest
 
+from repro.fuzz import runner as fuzz_runner
+from repro.fuzz.plan import FUZZ_SYSTEMS
+from repro.fuzz.workloads import WORKLOAD_NAMES
 from repro.harness.experiments import MICRO_FOOTPRINT, experiment_config
 from repro.harness.runner import run_workload
 from repro.workloads.tracespec import micro_spec
 
 GOLDEN_PATH = Path(__file__).parent.parent / "golden" / "micro_summaries.json"
+PROBE_GOLDEN_PATH = (Path(__file__).parent.parent / "golden"
+                     / "fuzz_probe_sequences.json")
+
+# The census shape the probe-sequence golden is taken at.
+PROBE_SEED, PROBE_EPOCHS, PROBE_BLOCKS = 1, 3, 16
 
 # The five compared systems x the three Fig. 7/8 access patterns.
 SYSTEMS = ("ideal_dram", "ideal_nvm", "journal", "shadow", "thynvm")
@@ -91,16 +105,62 @@ def test_eviction_summary_matches_golden(cell, workload):
         f"pick the same victims (see docs/PERFORMANCE.md)")
 
 
+def _probe_cells():
+    for system in FUZZ_SYSTEMS:
+        for workload in WORKLOAD_NAMES:
+            yield f"{system}/{workload}", system, workload
+
+
+def _probe_sequence(system: str, workload: str) -> list:
+    """The census plan's probe stream as ``[key, run length]`` pairs."""
+    stream: list = []
+    observe = fuzz_runner.CrashInjector.observe
+
+    def recording_observe(self, kind: str, detail: str) -> None:
+        key = f"{kind}.{detail}" if detail else kind
+        if stream and stream[-1][0] == key:
+            stream[-1][1] += 1
+        else:
+            stream.append([key, 1])
+        observe(self, kind, detail)
+
+    fuzz_runner.CrashInjector.observe = recording_observe
+    try:
+        fuzz_runner.census(system, workload, PROBE_SEED, PROBE_EPOCHS,
+                           PROBE_BLOCKS)
+    finally:
+        fuzz_runner.CrashInjector.observe = observe
+    return stream
+
+
+@pytest.mark.parametrize("cell,system,workload", list(_probe_cells()),
+                         ids=[cell for cell, _, _ in _probe_cells()])
+def test_probe_sequence_matches_golden(cell, system, workload):
+    with PROBE_GOLDEN_PATH.open() as handle:
+        goldens = json.load(handle)
+    assert cell in goldens, f"no probe-sequence golden for {cell}"
+    assert _probe_sequence(system, workload) == goldens[cell], (
+        f"probe stream changed for {cell}: pinned crash plans address "
+        f"sites by occurrence (see docs/FUZZING.md)")
+
+
+def _write_json(path: Path, goldens: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w") as handle:
+        json.dump(goldens, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {len(goldens)} goldens to {path}")
+
+
 def _regen() -> None:
     goldens = {cell: _run_cell(workload, system)
                for cell, workload, system in _cells()}
     goldens.update((cell, _run_eviction_cell(workload))
                    for cell, workload in _eviction_cells())
-    GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-    with GOLDEN_PATH.open("w") as handle:
-        json.dump(goldens, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote {len(goldens)} golden summaries to {GOLDEN_PATH}")
+    _write_json(GOLDEN_PATH, goldens)
+    _write_json(PROBE_GOLDEN_PATH,
+                {cell: _probe_sequence(system, workload)
+                 for cell, system, workload in _probe_cells()})
 
 
 if __name__ == "__main__":

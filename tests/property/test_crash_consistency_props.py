@@ -172,17 +172,17 @@ def test_baseline_recovery_matches_a_committed_boundary(kind, seed):
             shadow[block] = data
         settle(system.engine)        # quiesce demand writes (no CPU
         run_until(system.engine,     # stall exists in direct driving)
-                  lambda: not system.ctl._in_checkpoint)
-        pending = system.ctl.epoch
+                  lambda: system.ctl.epochs.phase is Phase.EXECUTING)
+        pending = system.ctl.epochs.active_epoch
         goldens[pending] = dict(shadow)
         system.ctl.force_epoch_end("prop")
         if epoch == crash_epoch:
             settle(system.engine, crash_delay)   # maybe mid-checkpoint
             break
         run_until(system.engine,
-                  lambda b=pending: system.ctl.epoch > b)
+                  lambda b=pending: system.ctl.committed_epoch >= b)
         committed = pending
-    if system.ctl.epoch > pending:   # committed before the crash hit
+    if system.ctl.committed_epoch >= pending:   # committed before the crash
         committed = pending
     system.ctl.crash()
     recovered = recover_image(system.config,
