@@ -1,6 +1,6 @@
 """Protocol-aware static analysis for the ThyNVM reproduction.
 
-An AST-based analyzer with three rule families, run as ``repro lint``:
+An AST-based analyzer with six rule families, run as ``repro lint``:
 
 * **determinism** — the simulator must be bit-reproducible (no wall
   clock, no global RNG, no id() ordering, no raw set iteration on
@@ -19,8 +19,8 @@ An AST-based analyzer with three rule families, run as ``repro lint``:
   attribute unless explicitly sequenced (heap-insertion-order hazard);
 * **typestate** — the bulk-run protocol: monotone, never-aliased
   progress cursors (``completed <= serviced <= issued <= total``),
-  congruent parallel arrays, the tail-merge admission contract,
-  crashed-flag gating, and pinned ``USE_BULK_RUNS`` divergence sites.
+  congruent parallel arrays, the tail-merge admission contract and
+  crashed-flag gating.
 
 The static crash-consistency model checker (``repro verify``) lives in
 the :mod:`repro.analysis.verify` subpackage; it is intentionally *not*

@@ -115,16 +115,6 @@ def enclosing_functions(node: ast.AST) -> List[ast.AST]:
     return chain
 
 
-def enclosing_class(node: ast.AST) -> Optional[ast.ClassDef]:
-    """Innermost class anywhere above ``node`` (None at module scope)."""
-    current = parent_of(node)
-    while current is not None:
-        if isinstance(current, ast.ClassDef):
-            return current
-        current = parent_of(current)
-    return None
-
-
 def is_method(func: ast.AST) -> bool:
     """True when ``func`` is a function whose direct parent is a class."""
     if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):

@@ -64,11 +64,6 @@ the same over-approximating direction as an unknown device kind.
 (``submit_bulk[request.total]`` style) so downstream consumers — the
 fuzz site taxonomy and the verify machines — can anchor per-block
 crash sites inside a run.
-
-Both sides of every ``USE_BULK_RUNS`` branch are analyzed: events
-under the bulk-only arm are tagged ``mode="bulk"`` and events under
-the reference arm ``mode="reference"``, so the analysis never depends
-on which core the ``REPRO_REFERENCE_CORE`` environment selects.
 """
 
 from __future__ import annotations
@@ -111,9 +106,6 @@ _BULK_EXTENT_ARGS: Dict[str, Tuple[int, str]] = {
 # Queue-side admission of run blocks: device kind unknown at this
 # level, so always conservatively durable.
 _BULK_ADMITTERS = frozenset({"grow_bulk", "try_enqueue_bulk"})
-#: The module-level flag gating the batched core vs the reference core
-#: (``repro/baselines/shadow.py``); both branch arms are analyzed.
-MODE_FLAG = "USE_BULK_RUNS"
 _TABLE_PERSISTERS = frozenset({"_table_persist_jobs"})
 _FENCES = frozenset({"fence_writes", "when_writes_drained",
                      "persist_barrier"})
@@ -160,7 +152,6 @@ class Event:
     node: ast.AST
     effect: Optional[Effect] = None
     detail: str = ""            # mutator name for TABLE_MUTATE, etc.
-    mode: str = ""              # "bulk"/"reference" under USE_BULK_RUNS
     callee: Optional[str] = None       # terminal name of the called func
     bare_call: bool = False            # func was a bare Name (ctor cand.)
     via_self: bool = False             # call receiver is `self`
@@ -239,16 +230,6 @@ def _is_literal(node: Optional[ast.AST], value: object) -> bool:
     return isinstance(node, ast.Constant) and node.value is value
 
 
-def _mode_flag(test: ast.AST) -> Optional[str]:
-    """Mode selected by an ``if USE_BULK_RUNS`` test (None: not one)."""
-    if _terminal_name(test) == MODE_FLAG:
-        return "bulk"
-    if (isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not)
-            and _terminal_name(test.operand) == MODE_FLAG):
-        return "reference"
-    return None
-
-
 def _bulk_extent(call: ast.Call, name: str) -> str:
     """Source text of the run-extent argument, "" when unavailable."""
     position, keyword = _BULK_EXTENT_ARGS[name]
@@ -319,20 +300,18 @@ class _ModuleExtractor:
         return f"{self.module.relpath}::{'.'.join(scope)}"
 
     def _collect(self, node: ast.AST, scope: Tuple[str, ...],
-                 cls: Optional[str], current: Optional[FunctionInfo],
-                 mode: str = "") -> None:
+                 cls: Optional[str], current: Optional[FunctionInfo]) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
                 self._register_class(child)
-                self._collect(child, scope + (child.name,), child.name, None,
-                              mode)
+                self._collect(child, scope + (child.name,), child.name, None)
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 inner = scope + (child.name,)
                 info = FunctionInfo(qualname=self._qual(inner),
                                     name=child.name, module=self.module.relpath,
                                     class_name=cls, node=child)
                 self.functions.append(info)
-                self._collect(child, inner, cls, info, mode)
+                self._collect(child, inner, cls, info)
             elif isinstance(child, ast.Lambda):
                 marker = f"<lambda:{child.lineno}:{child.col_offset}>"
                 inner = scope + (marker,)
@@ -340,33 +319,18 @@ class _ModuleExtractor:
                                     module=self.module.relpath,
                                     class_name=cls, node=child)
                 self.functions.append(info)
-                self._collect(child, inner, cls, info, mode)
-            elif (isinstance(child, ast.If)
-                    and _mode_flag(child.test) is not None):
-                # A USE_BULK_RUNS branch: analyze *both* arms, tagging
-                # each with the core mode that reaches it, instead of
-                # whichever mode the environment happens to select.
-                flag = _mode_flag(child.test) or ""
-                other = "reference" if flag == "bulk" else "bulk"
-                for stmt in child.body:
-                    if current is not None:
-                        self._record(stmt, scope, current, flag)
-                    self._collect(stmt, scope, cls, current, flag)
-                for stmt in child.orelse:
-                    if current is not None:
-                        self._record(stmt, scope, current, other)
-                    self._collect(stmt, scope, cls, current, other)
+                self._collect(child, inner, cls, info)
             else:
                 if current is not None:
-                    self._record(child, scope, current, mode)
-                self._collect(child, scope, cls, current, mode)
+                    self._record(child, scope, current)
+                self._collect(child, scope, cls, current)
 
     # -- recording one statement/expression inside `current` -------------
 
     def _record(self, node: ast.AST, scope: Tuple[str, ...],
-                current: FunctionInfo, mode: str = "") -> None:
+                current: FunctionInfo) -> None:
         if isinstance(node, ast.Call):
-            current.events.append(self._call_event(node, scope, mode))
+            current.events.append(self._call_event(node, scope))
             mutator = _terminal_name(node.func)
             if (mutator in _TABLE_MUTATORS
                     and isinstance(node.func, ast.Attribute)
@@ -376,13 +340,13 @@ class _ModuleExtractor:
             targets = (node.targets if isinstance(node, ast.Assign)
                        else [node.target])
             for target in targets:
-                self._record_store(target, node, current, mode)
+                self._record_store(target, node, current)
 
     def _record_store(self, target: ast.AST, stmt: ast.AST,
-                      current: FunctionInfo, mode: str = "") -> None:
+                      current: FunctionInfo) -> None:
         if isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
-                self._record_store(element, stmt, current, mode)
+                self._record_store(element, stmt, current)
             return
         if isinstance(target, ast.Subscript):
             attr = self._self_attr(target.value)
@@ -397,7 +361,7 @@ class _ModuleExtractor:
         current.written_attrs.add(attr)
         if attr == COMMIT_ATTRIBUTE and current.name != "__init__":
             current.events.append(Event(node=stmt, effect=Effect.COMMIT,
-                                        detail=attr, mode=mode))
+                                        detail=attr))
 
     @staticmethod
     def _self_attr(node: ast.AST) -> Optional[str]:
@@ -408,8 +372,7 @@ class _ModuleExtractor:
             return node.attr
         return None
 
-    def _call_event(self, call: ast.Call, scope: Tuple[str, ...],
-                    mode: str = "") -> Event:
+    def _call_event(self, call: ast.Call, scope: Tuple[str, ...]) -> Event:
         effect, detail = classify_call(call)
         func = call.func
         callee = _terminal_name(func)
@@ -427,7 +390,7 @@ class _ModuleExtractor:
             ref = self._callback_ref(kw.value, scope, keyword=kw.arg)
             if ref is not None:
                 refs.append(ref)
-        return Event(node=call, effect=effect, detail=detail, mode=mode,
+        return Event(node=call, effect=effect, detail=detail,
                      callee=callee, bare_call=isinstance(func, ast.Name),
                      via_self=via_self, callback_refs=tuple(refs))
 
@@ -784,8 +747,7 @@ class EffectGraph:
             info = self.functions[qualname]
             transfer = self._transfer[qualname]
             effects = ",".join(
-                f"{event.effect.value}"
-                f"{f'({event.mode})' if event.mode else ''}@{event.line}"
+                f"{event.effect.value}@{event.line}"
                 for event in info.events if event.effect is not None)
             edges = ",".join(sorted(self._edges.get(qualname, ())))
             footprint = ",".join(f"{c}.{a}" for c, a

@@ -5,10 +5,10 @@ own: four cursors obeying ``0 <= completed <= serviced <= issued <=
 total``, parallel per-block arrays (``block_data`` preallocated to the
 run, ``admit_times`` grown once per admitted block), a tail-merge
 contract on ``grow_bulk``/``try_enqueue_bulk`` (a refused admission
-*must* fall back to a position-exact single request), and a mode switch
-(``USE_BULK_RUNS``) selecting the batched core or the per-block
-reference core.  These rules enforce that protocol statically, the way
-the ``persist`` family enforces §4.4 ordering:
+*must* fall back to a position-exact single request), and crashed-flag
+gating on the controllers that issue runs.  These rules enforce that
+protocol statically, the way the ``persist`` family enforces §4.4
+ordering:
 
 * cursors only ever advance (``typestate-cursor-monotonic``) and are
   never aliased across ranks (``typestate-cursor-order``);
@@ -16,9 +16,7 @@ the ``persist`` family enforces §4.4 ordering:
   (``typestate-parallel-arrays``);
 * admission results are never discarded (``typestate-grow-tail-only``);
 * crashable controllers gate durable work on their crashed flag
-  (``typestate-crashed-use``);
-* mode-divergent code is pinned by an equivalence test
-  (``typestate-mode-divergence``).
+  (``typestate-crashed-use``).
 
 Scoping comes from ``LintConfig.typestate_scope`` (default: the
 simulator layers that traffic in ``MemoryRequest.bulk`` runs).  The
@@ -30,11 +28,10 @@ touch two or more distinct cursor names inside one function — so a
 from __future__ import annotations
 
 import ast
-from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Set,
-                    Tuple)
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Set, Tuple
 
-from ..context import ModuleContext, attach_parents, enclosing_class
-from ..effects import MODE_FLAG, Effect, EffectGraph
+from ..context import ModuleContext, attach_parents
+from ..effects import Effect, EffectGraph
 from ..findings import Finding, Severity
 from ..registry import Rule, register
 from .persist import effect_graph
@@ -501,72 +498,3 @@ class CrashedUseRule(_TypestateRule):
                     return info.name, event.line
                 frontier.extend(event.callees)
         return None
-
-
-@register
-class ModeDivergenceRule(_TypestateRule):
-    """Code reachable in only one of bulk/reference modes must be
-    pinned by an equivalence test."""
-
-    id = "typestate-mode-divergence"
-    severity = Severity.WARNING
-    description = ("a function branches on USE_BULK_RUNS but is not in "
-                   "the mode-equivalence pin list "
-                   "(LintConfig.mode_pinned); divergent code needs an "
-                   "equivalence test driving both cores to "
-                   "byte-identical output, then its qualname added to "
-                   "the pin list")
-    rationale = (
-        "Every USE_BULK_RUNS branch creates code that only one core "
-        "ever executes, so a bug on either side is invisible to runs "
-        "of the other mode — the golden-determinism suite passes while "
-        "the unselected arm rots.  The repo's contract is that every "
-        "divergence site is driven through *both* arms by an "
-        "equivalence test (tests/property/test_bulk_core_equivalence"
-        ".py requires byte-identical summaries); this rule makes "
-        "adding a new divergence site without extending that pin an "
-        "explicit, reviewable act.")
-    example_bad = (
-        "def _new_path(self):\n"
-        "    if USE_BULK_RUNS:            # not pinned by any test\n"
-        "        self._batched()\n"
-        "    else:\n"
-        "        self._per_block()")
-    example_good = (
-        "# tests/property/test_bulk_core_equivalence.py drives both\n"
-        "# arms; LintConfig.mode_pinned lists Shadow._copy_on_write.\n"
-        "def _copy_on_write(self, page):\n"
-        "    if USE_BULK_RUNS:\n"
-        "        ...")
-
-    def check(self, module: ModuleContext, project: "ProjectIndex",
-              config: "LintConfig") -> Iterator[Finding]:
-        if not self.in_scope(module, config):
-            return
-        attach_parents(module.tree)
-        pinned = frozenset(getattr(config, "mode_pinned", ()))
-        for func in _functions(module.tree):
-            for node in _shallow(func):
-                if not (isinstance(node, ast.If)
-                        and self._mode_test(node.test)):
-                    continue
-                cls = enclosing_class(func)
-                qualname = (f"{cls.name}.{func.name}" if cls is not None
-                            else func.name)
-                if qualname in pinned:
-                    continue
-                yield self.finding(
-                    module, node,
-                    f"{qualname} branches on {MODE_FLAG} but is not "
-                    f"pinned by a mode-equivalence test; drive both "
-                    f"cores byte-identically and add {qualname!r} to "
-                    f"LintConfig.mode_pinned")
-
-    @staticmethod
-    def _mode_test(test: ast.AST) -> bool:
-        for node in ast.walk(test):
-            if isinstance(node, ast.Name) and node.id == MODE_FLAG:
-                return True
-            if isinstance(node, ast.Attribute) and node.attr == MODE_FLAG:
-                return True
-        return False

@@ -35,13 +35,6 @@ DEFAULT_RACE_SCOPE = ("repro/",)
 # in MemoryRequest.bulk runs or crashable controllers.
 DEFAULT_TYPESTATE_SCOPE = ("repro/sim/", "repro/mem/", "repro/core/",
                            "repro/baselines/")
-# USE_BULK_RUNS divergence sites pinned by an equivalence test driving
-# both cores to byte-identical output
-# (tests/property/test_bulk_core_equivalence.py).
-DEFAULT_MODE_PINNED = (
-    "ShadowPagingController._copy_on_write",
-    "ShadowPagingController._checkpoint_stages",
-)
 
 
 @dataclass(frozen=True)
@@ -53,9 +46,6 @@ class LintConfig:
     persist_scope: Tuple[str, ...] = DEFAULT_PERSIST_SCOPE
     race_scope: Tuple[str, ...] = DEFAULT_RACE_SCOPE
     typestate_scope: Tuple[str, ...] = DEFAULT_TYPESTATE_SCOPE
-    # Qualnames allowed to branch on USE_BULK_RUNS (each is driven
-    # through both arms by an equivalence test).
-    mode_pinned: Tuple[str, ...] = DEFAULT_MODE_PINNED
     # (path glob, rule ids) — "*" as a rule id silences all rules.
     suppressions: Tuple[Tuple[str, Tuple[str, ...]], ...] = ()
     # Restrict the run to these rule ids (None = all registered rules).

@@ -66,19 +66,6 @@ class StopTheWorldController(EpochController):
 
     # --- shared issue helpers ------------------------------------------------------
 
-    def _issue_read_traffic(self, kind: DeviceKind, hw_addr: int,
-                            origin: Origin) -> None:
-        """Timed read whose result is discarded (traffic accounting)."""
-        request = MemoryRequest(hw_addr, False, origin)
-
-        def try_submit() -> None:
-            if self._crashed:
-                return
-            if not self.memctrl.submit(kind, request):
-                self.memctrl.wait_for_slot(kind, False, try_submit)
-
-        try_submit()
-
     def _issue_bulk_read_traffic(self, kind: DeviceKind, base_addr: int,
                                  origin: Origin, count: int,
                                  stride: int) -> None:

@@ -15,8 +15,7 @@ when it is written as the controller's recovery record.
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..config import SystemConfig
 from ..core import probes
@@ -28,14 +27,6 @@ from ..sim.engine import Engine
 from ..sim.request import Origin
 from ..stats.collector import StatsCollector
 from .base import StopTheWorldController
-
-# Issue page copies and page flushes as bulk runs — one queue entry and
-# one request object per page instead of one per block — servicing and
-# timing stay block-by-block identical (docs/PERFORMANCE.md).  The
-# per-block reference path is kept selectable so the equivalence
-# property test can diff the two cores in one process.
-USE_BULK_RUNS = os.environ.get("REPRO_REFERENCE_CORE", "").lower() not in (
-    "1", "true", "yes")
 
 
 class ShadowPagingController(StopTheWorldController):
@@ -81,7 +72,7 @@ class ShadowPagingController(StopTheWorldController):
         self._issue_write(DeviceKind.DRAM, hw_addr, origin, data, callback,
                           on_accept)
 
-    def _copy_on_write(self, page: int) -> int:
+    def _copy_on_write(self, page: int) -> Optional[int]:
         """Allocate a buffer page and copy its committed image from NVM.
 
         Returns the slot, or ``None`` when the buffer is exhausted.
@@ -101,25 +92,16 @@ class ShadowPagingController(StopTheWorldController):
         dram = self.memctrl.functional_store(DeviceKind.DRAM)
         blocks = self.config.blocks_per_page
         block_bytes = self.config.block_bytes
-        # Functional copy now; timed traffic as payload-free requests so
-        # a late-serviced copy can never clobber a younger demand write
-        # to the same slot.  One run splice per page, not one store call
-        # per block (docs/PERSISTENCE.md).
+        # Functional copy now; timed traffic as payload-free bulk runs
+        # (one request per page, serviced and timed block by block —
+        # docs/PERFORMANCE.md) so a late-serviced copy can never clobber
+        # a younger demand write to the same slot.  One run splice per
+        # page, not one store call per block (docs/PERSISTENCE.md).
         dram.write_run(dst_base, blocks, nvm.read_run(src_base, blocks))
-        if USE_BULK_RUNS:
-            self._issue_bulk_read_traffic(DeviceKind.NVM, src_base,
-                                          Origin.MIGRATION, blocks,
-                                          block_bytes)
-            self._issue_bulk_write_traffic(DeviceKind.DRAM, dst_base,
-                                           Origin.MIGRATION, blocks,
-                                           block_bytes)
-        else:
-            for offset in range(blocks):
-                step = offset * block_bytes
-                self._issue_read_traffic(DeviceKind.NVM, src_base + step,
-                                         Origin.MIGRATION)
-                self._issue_write(DeviceKind.DRAM, dst_base + step,
-                                  Origin.MIGRATION, None, None)
+        self._issue_bulk_read_traffic(DeviceKind.NVM, src_base,
+                                      Origin.MIGRATION, blocks, block_bytes)
+        self._issue_bulk_write_traffic(DeviceKind.DRAM, dst_base,
+                                       Origin.MIGRATION, blocks, block_bytes)
         if self.layout.slots_free < self.layout.slots_total // 8:
             self.epochs.request_end("dram_full")
         return slot
@@ -148,22 +130,13 @@ class ShadowPagingController(StopTheWorldController):
             self._flush_plan.append((page, slot, dst_region))
             src_base = self.layout.page_slot_addr(slot)
             dst_base = self.layout.region_page_addr(dst_region, page)
-            if USE_BULK_RUNS:
-                jobs.append(Job(dst_kind=DeviceKind.NVM,
-                                dst_addr=dst_base,
-                                origin=Origin.CHECKPOINT,
-                                src_kind=DeviceKind.DRAM,
-                                src_addr=src_base,
-                                count=self.config.blocks_per_page,
-                                stride=self.config.block_bytes))
-            else:
-                for offset in range(self.config.blocks_per_page):
-                    step = offset * self.config.block_bytes
-                    jobs.append(Job(dst_kind=DeviceKind.NVM,
-                                    dst_addr=dst_base + step,
-                                    origin=Origin.CHECKPOINT,
-                                    src_kind=DeviceKind.DRAM,
-                                    src_addr=src_base + step))
+            jobs.append(Job(dst_kind=DeviceKind.NVM,
+                            dst_addr=dst_base,
+                            origin=Origin.CHECKPOINT,
+                            src_kind=DeviceKind.DRAM,
+                            src_addr=src_base,
+                            count=self.config.blocks_per_page,
+                            stride=self.config.block_bytes))
         if jobs:
             probes.notify("table-persist", "pagemap")
         return [jobs]

@@ -21,16 +21,13 @@ DETERMINISM_RULES = ("det-wallclock", "det-global-random", "det-id-order",
 def lint_fixture(name, *, select=None, determinism_scope=("",),
                  core_prefixes=("repro/core/",), suppressions=(),
                  persist_scope=("",), race_scope=("",),
-                 typestate_scope=("",), mode_pinned=None):
-    from repro.analysis.runner import DEFAULT_MODE_PINNED
+                 typestate_scope=("",)):
     config = LintConfig(
         determinism_scope=tuple(determinism_scope),
         core_prefixes=tuple(core_prefixes),
         persist_scope=tuple(persist_scope),
         race_scope=tuple(race_scope),
         typestate_scope=tuple(typestate_scope),
-        mode_pinned=(DEFAULT_MODE_PINNED if mode_pinned is None
-                     else tuple(mode_pinned)),
         suppressions=tuple(suppressions),
         select=None if select is None else tuple(select),
     )

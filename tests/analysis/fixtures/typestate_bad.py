@@ -5,8 +5,6 @@ queue/controller code (`sim/queueing.py`, `mem/controller.py`) without
 needing imports.
 """
 
-USE_BULK_RUNS = True
-
 
 class BadQueue:
     # -- typestate-cursor-monotonic: decrement + constant reset ----------
@@ -61,11 +59,3 @@ class BadController:
 
     def crash(self):
         self._crashed = True
-
-    # -- typestate-mode-divergence: not in the pin list ------------------
-
-    def _new_path(self, page):
-        if USE_BULK_RUNS:
-            self._batched(page)
-        else:
-            self._per_block(page)

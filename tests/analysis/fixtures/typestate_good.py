@@ -3,8 +3,6 @@
 Analyzed as data, never imported.
 """
 
-USE_BULK_RUNS = True
-
 
 class GoodQueue:
     def service_head_block(self, request):
@@ -52,9 +50,3 @@ class GoodController:
 
     def crash(self):
         self._crashed = True
-
-    def _pinned_path(self, page):       # qualname in mode_pinned below
-        if USE_BULK_RUNS:
-            self._batched(page)
-        else:
-            self._per_block(page)

@@ -1,7 +1,6 @@
 """The typestate family: bulk-cursor monotonicity/ordering, parallel
-arrays, the tail-merge contract, crashed-controller gating and mode
-divergence fire on the bad fixture, stay quiet on the clean one, and
-honour the mode pin list."""
+arrays, the tail-merge contract and crashed-controller gating fire on
+the bad fixture and stay quiet on the clean one."""
 
 from .conftest import lint_fixture, rules_fired
 
@@ -11,7 +10,6 @@ TYPESTATE_RULES = (
     "typestate-parallel-arrays",
     "typestate-grow-tail-only",
     "typestate-crashed-use",
-    "typestate-mode-divergence",
 )
 
 
@@ -62,28 +60,9 @@ def test_crashed_use_names_the_durable_site():
     assert "BadController.write_block" in report.findings[0].message
 
 
-def test_mode_divergence_respects_pin_list():
-    report = lint_fixture("typestate_bad.py",
-                          select=["typestate-mode-divergence"])
-    assert len(report.findings) == 1
-    assert "BadController._new_path" in report.findings[0].message
-    pinned = lint_fixture("typestate_bad.py",
-                          select=["typestate-mode-divergence"],
-                          mode_pinned=("BadController._new_path",))
-    assert pinned.findings == []
-
-
 def test_good_fixture_is_clean():
-    report = lint_fixture("typestate_good.py", select=TYPESTATE_RULES,
-                          mode_pinned=("GoodController._pinned_path",))
+    report = lint_fixture("typestate_good.py", select=TYPESTATE_RULES)
     assert report.findings == []
-
-
-def test_good_fixture_divergence_without_pin_warns():
-    report = lint_fixture("typestate_good.py",
-                          select=["typestate-mode-divergence"],
-                          mode_pinned=())
-    assert len(report.findings) == 1
 
 
 def test_out_of_scope_module_is_ignored():

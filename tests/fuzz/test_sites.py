@@ -1,19 +1,9 @@
 """The crash-site taxonomy must track the static persist surface."""
 
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-import pytest
-
 from repro.analysis.effects import Effect
 from repro.core import probes
 from repro.fuzz.sites import (KIND_DESCRIPTIONS, KIND_EFFECTS,
                               coverage_gaps, effect_surface, taxonomy)
-
-SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def test_every_probe_kind_is_catalogued():
@@ -34,31 +24,6 @@ def test_no_coverage_gaps():
     probe kind covering it — a new persist path cannot silently escape
     the fuzzer's crash surface."""
     assert coverage_gaps() == {}
-
-
-@pytest.mark.parametrize("reference_core", ["", "1"])
-def test_no_coverage_gaps_in_either_core_mode(reference_core):
-    """coverage_gaps() stays empty with bulk runs on AND off.
-
-    ``USE_BULK_RUNS`` binds at import (baselines/shadow.py reads
-    ``REPRO_REFERENCE_CORE`` once), so each mode needs a fresh
-    interpreter — the in-process test above only sees this process's
-    mode.  Both cores' effect surfaces (bulk and per-block reference)
-    must be probe-covered, or one mode's fuzzing silently loses sites.
-    """
-    env = {key: value for key, value in os.environ.items()
-           if key != "REPRO_REFERENCE_CORE"}
-    if reference_core:
-        env["REPRO_REFERENCE_CORE"] = reference_core
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep)
-                      if p])
-    code = ("import json\n"
-            "from repro.fuzz.sites import coverage_gaps\n"
-            "print(json.dumps(coverage_gaps()))\n")
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True, check=True)
-    assert json.loads(result.stdout) == {}
 
 
 def test_taxonomy_anchors_effect_kinds_to_static_sites():

@@ -1,43 +1,39 @@
 """Runtime bulk-run writes vs. the static ``BULK_WRITE`` surface.
 
-Three pins between the batched array-core and the analysis stack:
+Two pins between the batched array-core and the analysis stack:
 
 1. **Prediction**: the ``bulk-write`` probe (one notification per
    durable block of a checkpoint bulk run) only ever fires from code
    the static effect graph classifies with ``Effect.BULK_WRITE`` —
    the fuzz taxonomy anchors the kind to those sites.
-2. **Mode equivalence**: toggling ``USE_BULK_RUNS`` off (the per-block
-   reference core) changes *nothing* about the probe census except
-   that ``bulk-write`` stops firing — every other site fires the same
-   number of times in both cores.
-3. **Both branches analyzed**: the effect graph carries events for the
-   bulk arm and the reference arm of every ``USE_BULK_RUNS`` branch,
-   so the analyzer never depends on which core the environment picked.
+2. **Core equivalence**: the per-block oracle
+   (:class:`~.per_block_shadow.PerBlockShadow`) changes *nothing*
+   about the probe census except that ``bulk-write`` never fires —
+   every other site fires the same number of times in both cores.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
-import repro.baselines.shadow as shadow
-from repro.analysis.effects import Effect, EffectGraph
-from repro.analysis.context import load_module
+import repro.harness.systems as systems
+from repro.analysis.effects import Effect
 from repro.fuzz.runner import census
 from repro.fuzz.sites import effect_surface
+
+from .per_block_shadow import PerBlockShadow
 
 
 @pytest.fixture
 def census_pair(monkeypatch):
     """Site censuses of the same shadow workload under both cores."""
 
-    def run(use_bulk):
-        monkeypatch.setattr(shadow, "USE_BULK_RUNS", use_bulk)
+    def run():
         return census("shadow", "sparse", seed=3, epochs=2, blocks=8)
 
-    bulk = run(True)
-    reference = run(False)
+    bulk = run()
+    monkeypatch.setattr(systems, "ShadowPagingController", PerBlockShadow)
+    reference = run()
     return bulk, reference
 
 
@@ -71,12 +67,3 @@ def test_bulk_write_count_matches_flush_traffic(census_pair):
     count = bulk["bulk-write.1"]
     assert count > 0
     assert count % config.blocks_per_page == 0
-
-
-def test_effect_graph_analyzes_both_core_modes():
-    module = load_module(Path(shadow.__file__))
-    graph = EffectGraph.build([module])
-    modes = {event.mode
-             for info in graph.functions.values()
-             for event in info.events}
-    assert {"bulk", "reference"} <= modes
