@@ -26,7 +26,6 @@ def block_only_policy() -> ThyNVMPolicy:
         enable_page_writeback=False,
         enable_block_remapping=True,
         temp_cooperation=True,
-        adopt_on_first_write=False,
     )
 
 
@@ -42,5 +41,4 @@ def page_only_policy() -> ThyNVMPolicy:
         enable_page_writeback=True,
         enable_block_remapping=False,
         temp_cooperation=False,
-        adopt_on_first_write=True,
     )

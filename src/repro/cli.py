@@ -23,7 +23,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional
 
@@ -56,16 +55,8 @@ def build_config(args: argparse.Namespace) -> SystemConfig:
         overrides["epoch_cycles"] = us_to_cycles(args.epoch_us)
     if getattr(args, "btt_entries", None):
         overrides["btt_entries"] = args.btt_entries
-    if getattr(args, "store", None):
-        overrides["store_mode"] = args.store
     if getattr(args, "store_dir", None):
         overrides["store_dir"] = args.store_dir
-    elif overrides.get("store_mode") == "mmap":
-        # Convenience: --store mmap without a directory gets a fresh
-        # tempdir (docs/PERSISTENCE.md explains the on-disk layout).
-        overrides["store_dir"] = tempfile.mkdtemp(prefix="repro-store-")
-        print(f"repro: mmap store images in {overrides['store_dir']}",
-              file=sys.stderr)
     if getattr(args, "msync", None):
         overrides["msync_policy"] = args.msync
     return SystemConfig(**overrides)
@@ -550,17 +541,16 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
+    # Exact flag names only: argparse would otherwise accept "--store"
+    # as an abbreviation of "--store-dir".
+    parser.allow_abbrev = False
     parser.add_argument("--epoch-us", type=float, default=None,
                         help="epoch length in microseconds")
     parser.add_argument("--btt-entries", type=int, default=None)
-    parser.add_argument("--store", default=None,
-                        choices=("auto", "functional", "mmap", "null"),
-                        help="functional datastore backend (default auto: "
-                             "in-memory when data tracking is on; mmap = "
-                             "file-backed, docs/PERSISTENCE.md)")
     parser.add_argument("--store-dir", default=None,
-                        help="directory for mmap store image files "
-                             "(default with --store mmap: a fresh tempdir)")
+                        help="keep device contents in file-backed mmap "
+                             "images in this directory "
+                             "(docs/PERSISTENCE.md)")
     parser.add_argument("--msync", default=None,
                         choices=("none", "commit", "always"),
                         help="mmap flush policy (default commit: msync at "
@@ -619,7 +609,7 @@ def make_parser() -> argparse.ArgumentParser:
                              help="trajectory entry label "
                                   "(default: the mode name)")
     perf_parser.add_argument("--store", default="auto",
-                             choices=("auto", "functional", "mmap", "null"),
+                             choices=("auto", "mmap"),
                              help="functional-store backend axis; mmap "
                                   "prices the file-backed store "
                                   "(docs/PERSISTENCE.md)")

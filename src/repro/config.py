@@ -124,13 +124,11 @@ class SystemConfig:
 
     # --- functional layer ----------------------------------------------
     track_data: bool = False      # store real bytes (tests/recovery demos)
-    # Backing store for device contents (docs/PERSISTENCE.md):
-    #   "auto"       -> FunctionalStore if track_data else NullStore
-    #   "functional" -> dict-backed FunctionalStore
-    #   "mmap"       -> file-backed MmapStore (requires store_dir)
-    #   "null"       -> timing-only NullStore
-    store_mode: str = "auto"
-    store_dir: str = ""           # directory holding dram.img / nvm.img
+    # Backing store for device contents (docs/PERSISTENCE.md): a set
+    # store_dir selects file-backed MmapStores (dram.img / nvm.img in
+    # that directory); otherwise FunctionalStore if track_data, else
+    # the timing-only NullStore.
+    store_dir: str = ""
     msync_policy: str = "commit"  # mmap flush policy: none|commit|always
 
     def __post_init__(self) -> None:
@@ -159,12 +157,6 @@ class SystemConfig:
             raise ConfigError("epoch_cycles must be positive")
         if self.num_cores < 1:
             raise ConfigError("num_cores must be at least 1")
-        if self.store_mode not in ("auto", "functional", "mmap", "null"):
-            raise ConfigError(
-                f"unknown store mode {self.store_mode!r} "
-                "(have: auto, functional, mmap, null)")
-        if self.store_mode == "mmap" and not self.store_dir:
-            raise ConfigError("store_mode 'mmap' requires store_dir")
         if self.msync_policy not in ("none", "commit", "always"):
             raise ConfigError(
                 f"unknown msync policy {self.msync_policy!r} "

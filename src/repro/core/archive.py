@@ -28,12 +28,14 @@ from .recovery import block_address
 class ArchivedCheckpoint:
     """One archived epoch: a frozen physical-memory image."""
 
-    def __init__(self, epoch: int, image: Dict[int, bytes]) -> None:
+    def __init__(self, epoch: int, image: Dict[int, bytes],
+                 zero_block: bytes) -> None:
         self.epoch = epoch
         self._image = image
+        self._zero = zero_block
 
     def visible_block(self, block: int) -> bytes:
-        return self._image.get(block, bytes(64))
+        return self._image.get(block, self._zero)
 
     def blocks(self) -> Dict[int, bytes]:
         return dict(self._image)
@@ -73,16 +75,17 @@ class CheckpointArchive:
         ctl = self.controller
         meta = ctl.committed_meta
         nvm = ctl.memctrl.functional_store(DeviceKind.NVM)
+        zero = bytes(ctl.config.block_bytes)
         image: Dict[int, bytes] = {}
         for block in range(self.num_blocks):
             addr = block_address(meta, ctl.layout, ctl.addresses, block)
             data = nvm.read(addr)
-            if data != bytes(len(data)):
+            if data != zero:
                 image[block] = data
             if self.timed:
                 ctl._issue_fire_and_forget(DeviceKind.NVM, addr,
                                            False, Origin.MIGRATION)
-        self._checkpoints.append(ArchivedCheckpoint(epoch, image))
+        self._checkpoints.append(ArchivedCheckpoint(epoch, image, zero))
         if len(self._checkpoints) > self.max_checkpoints:
             self._checkpoints.pop(0)
 

@@ -21,8 +21,8 @@ consistency protocol, making crash consistency a testable property.
 
 Policy knobs (:class:`ThyNVMPolicy`) expose the paper's §2.3 ablations:
 disabling page writeback gives uniform cache-block-granularity
-checkpointing; disabling block remapping (with ``adopt_on_first_write``)
-gives uniform page-granularity checkpointing.
+checkpointing; disabling block remapping gives uniform page-granularity
+checkpointing (every write adopts its page).
 """
 
 from __future__ import annotations
@@ -55,15 +55,10 @@ class ThyNVMPolicy:
     enable_page_writeback: bool = True    # False => block-remapping only
     enable_block_remapping: bool = True   # False => page-writeback only
     temp_cooperation: bool = True         # §3.4 detour during page ckpt
-    adopt_on_first_write: bool = False    # page-only: every write adopts a page
-    persist_full_tables: bool = False     # paper persists whole tables
 
     def __post_init__(self) -> None:
         if not self.enable_page_writeback and not self.enable_block_remapping:
             raise SimulationError("at least one checkpointing scheme required")
-        if not self.enable_block_remapping and not self.adopt_on_first_write:
-            raise SimulationError(
-                "page-only mode requires adopt_on_first_write")
 
 
 class ThyNVMController(EpochController):
@@ -712,7 +707,7 @@ class ThyNVMController(EpochController):
 
     def _table_persist_jobs(self, table, base_offset: int,
                             area_blocks: int) -> List[Job]:
-        nbytes = table.persist_bytes(self.policy.persist_full_tables)
+        nbytes = table.persist_bytes()
         table.clear_dirty()
         block_bytes = self.config.block_bytes
         nblocks = -(-nbytes // block_bytes) if nbytes else 0

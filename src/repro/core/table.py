@@ -6,9 +6,9 @@ returns ``False`` when full and the ThyNVM controller reacts by forcing
 an early epoch end so garbage collection can free entries (§4.3).
 
 The table also tracks which entries changed since the last checkpoint,
-because only modified entries need to be persisted to the backup region
-(a standard optimization; set ``persist_full`` on the controller to
-model the paper's whole-table persist instead).
+because only modified entries are persisted to the backup region.  The
+paper persists whole tables; this dirty-delta persist is a deliberate
+deviation with no toggle (docs/PROTOCOL.md §8).
 """
 
 from __future__ import annotations
@@ -85,10 +85,9 @@ class TranslationTable(Generic[EntryT]):
     def dirty_count(self) -> int:
         return len(self._dirty)
 
-    def persist_bytes(self, full: bool) -> int:
-        """Bytes that must be written to persist the table's state."""
-        entries = self.capacity if full else len(self._dirty)
-        return entries * self.entry_bytes
+    def persist_bytes(self) -> int:
+        """Bytes that must be written to persist the table's changes."""
+        return len(self._dirty) * self.entry_bytes
 
     def clear_dirty(self) -> None:
         self._dirty.clear()

@@ -5,8 +5,8 @@ to end with a *real* process death, instead of the in-process
 ``controller.crash()`` the fuzz campaign uses:
 
 1. **child** — a subprocess drives the plan's workload against
-   file-backed stores (``store_mode="mmap"``) with the fuzz runner's
-   own drive loop.  The controllers write their own recovery records
+   file-backed stores (``store_dir`` set) with the fuzz runner's own
+   drive loop.  The controllers write their own recovery records
    into the NVM image's meta slot, exactly as in every other run; the
    child records nothing itself.  It prints the committed epoch at
    every ``commit`` probe; at the armed site it prints a marker line
@@ -73,8 +73,8 @@ QUICK_SWEEP_SITES: Tuple[str, ...] = ("commit-write#1",)
 
 def crashproc_config(store_dir: str) -> SystemConfig:
     """The fuzz configuration rebased onto file-backed stores."""
-    return dataclasses.replace(fuzz_config(), store_mode="mmap",
-                               store_dir=store_dir, msync_policy="commit")
+    return dataclasses.replace(fuzz_config(), store_dir=store_dir,
+                               msync_policy="commit")
 
 
 def sweep_plans(quick: bool = False) -> List[CrashPlan]:

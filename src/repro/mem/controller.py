@@ -13,9 +13,10 @@ Ordering and visibility rules the consistency protocols rely on:
 
 * same-address requests within a queue are never reordered,
 * reads forward data from still-queued same-address writes,
-* a write becomes durable (reaches the functional store) exactly when
-  the device services it; anything still queued at :meth:`crash` is
-  lost, like real controller SRAM on power failure,
+* a write — a single request or one block of a bulk run — becomes
+  durable (reaches the functional store) exactly when the device
+  services it; anything still queued at :meth:`crash` is lost, like
+  real controller SRAM on power failure,
 * :meth:`fence_writes` implements §4.4's "flush the NVM write queue":
   a fence over writes submitted so far, unaffected by later arrivals.
 
@@ -67,7 +68,7 @@ class _DeviceState:
     __slots__ = ("device", "store", "read_queue", "write_queue",
                  "active", "write_inflight", "kicking", "settled",
                  "draining", "drain_waiters", "fence_blockers",
-                 "pending_runs", "read_counts", "write_counts",
+                 "read_counts", "write_counts",
                  "record_read_latency", "record_write_latency")
 
     def __init__(self, device: MemoryDevice, store, read_q: BoundedQueue,
@@ -95,13 +96,6 @@ class _DeviceState:
         # completing write touches only its own fences, not all of them.
         # (Bulk runs carry their fence links on the request instead.)
         self.fence_blockers: Dict[int, List[list]] = {}
-        # Data-carrying bulk runs with completed-but-unflushed blocks,
-        # in completion order.  Completed prefixes land in the store as
-        # one write_run splice per run instead of one write per block;
-        # every store *read*, single-write completion, crash and
-        # functional accessor flushes first so observable contents are
-        # identical to the per-block store.write path.
-        self.pending_runs: List[MemoryRequest] = []
         reads, writes, read_hist, write_hist = \
             stats.device_channels(device.name)
         self.read_counts = reads.raw_counts()
@@ -149,14 +143,11 @@ class MemoryController:
     def _build_store(config: SystemConfig, kind: DeviceKind,
                      persistent: bool):
         """The backing store one device uses (docs/PERSISTENCE.md)."""
-        mode = config.store_mode
-        if mode == "auto":
-            mode = "functional" if config.track_data else "null"
-        if mode == "functional":
-            return FunctionalStore(config.block_bytes)
-        if mode == "null":
+        if not config.store_dir:
+            if config.track_data:
+                return FunctionalStore(config.block_bytes)
             return NullStore(config.block_bytes)
-        # mmap: file-backed, sized from the hardware layout.  Lazy import
+        # File-backed, sized from the hardware layout.  Lazy import
         # keeps module-level mem <-> core imports acyclic.
         from ..core.regions import HardwareLayout
         from .mmapstore import MmapStore
@@ -379,67 +370,11 @@ class MemoryController:
             return
         fence[0] = outstanding
 
-    # --- deferred bulk-run store flush ---------------------------------------
-
-    @staticmethod
-    def _flush_pending(state: _DeviceState) -> None:
-        """Splice every pending run's completed-but-unflushed blocks
-        into the store.
-
-        Banks retire blocks out of order (a row hit on bank 3 beats a
-        row miss on bank 1), so the completed set of a run is not a
-        plain count: flushing ``block_data[:count]`` would make
-        never-serviced blocks durable and drop serviced ones — visible
-        to a crash landing between the two.  The contiguous completed
-        prefix goes out as one ``write_run`` splice; the few
-        out-of-order completions beyond it go out per block, exactly
-        once (the flushed flag), then once more — harmlessly, store
-        writes are idempotent — when the prefix splice absorbs them."""
-        runs = state.pending_runs
-        store = state.store
-        block_bytes = store.block_bytes
-        for request in runs:
-            start = request.store_flushed
-            end = request.store_done
-            if end > start:
-                if request.stride == block_bytes:
-                    if end - start == 1:   # common: one block per flush
-                        store.write(request.addr + start * block_bytes,
-                                    request.block_data[start])
-                    else:
-                        store.write_run(request.addr + start * block_bytes,
-                                        end - start,
-                                        request.block_data[start:end])
-                else:  # non-contiguous run: per-block (defensive)
-                    for index in range(start, end):
-                        store.write(request.addr + index * request.stride,
-                                    request.block_data[index])
-                request.store_flushed = end
-            extra = request.store_done_extra
-            if extra:
-                block_data = request.block_data
-                base = request.addr
-                stride = request.stride
-                for index, flushed in extra.items():
-                    if not flushed:
-                        store.write(base + index * stride,
-                                    block_data[index])
-                        extra[index] = True
-            # Flushed runs leave the list even when still incomplete —
-            # the next block completion re-queues them.  Keeping every
-            # in-flight run here would make each flush O(outstanding
-            # runs), which read-heavy phases trigger per completion.
-            request.store_queued = False
-        state.pending_runs = []
-
     # --- functional access for recovery (not timed) --------------------------
 
     def functional_store(self, kind: DeviceKind):
         """Direct access to a device's backing store (recovery/tests)."""
-        state = self._states[kind]
-        if state.pending_runs:
-            self._flush_pending(state)
-        return state.store
+        return self._states[kind].store
 
     def msync(self) -> None:
         """Flush both device stores to their backing medium.
@@ -447,14 +382,12 @@ class MemoryController:
         Fence-like on the store surface: after it returns, every
         serviced write is in the mapped file (subject to the msync
         policy), not just the process's page mappings.  The checkpoint
-        machinery calls this when a commit record is serviced.  Legal
-        after :meth:`crash` too — crash() already flushed completed
-        bulk prefixes, and syncing serviced-before-crash contents only
-        narrows the durability window recovery reads.
+        machinery calls this when a commit record is serviced.  Returns
+        at once after :meth:`crash`, as the producer API does.
         """
+        if self.crashed:
+            return
         for state in self._states.values():
-            if state.pending_runs and not self.crashed:
-                self._flush_pending(state)
             state.store.msync()
 
     def device(self, kind: DeviceKind) -> MemoryDevice:
@@ -484,11 +417,6 @@ class MemoryController:
         """
         self.crashed = True
         for state in self._states.values():
-            # Serviced means durable: completed bulk prefixes reach the
-            # store even though their runs never finished.
-            if state.pending_runs:
-                self._flush_pending(state)
-            state.pending_runs = []
             state.read_queue.drop_all()
             state.write_queue.drop_all()
             state.drain_waiters.clear()
@@ -621,10 +549,6 @@ class MemoryController:
                    if request.issue_time is not None else None)
         if request.is_write:
             state.write_inflight -= 1
-            # Older runs' deferred data must land first: this write may
-            # supersede a same-address block of a still-pending run.
-            if state.pending_runs:
-                self._flush_pending(state)
             state.store.write(request.addr, request.data)
             state.write_counts[request.origin_key] += 1
             if latency is not None:
@@ -641,8 +565,6 @@ class MemoryController:
             if request.callback is not None:
                 payload = state.write_queue.youngest_payload(request.addr)
                 if payload is None:
-                    if state.pending_runs:
-                        self._flush_pending(state)
                     payload = state.store.read(request.addr)
                 request.data = payload
             state.read_counts[request.origin_key] += 1
@@ -674,32 +596,10 @@ class MemoryController:
         if request.is_write:
             state.write_inflight -= 1
             if request.block_data is not None:
-                # Defer the store write: the run's completed blocks are
-                # flushed as write_run splices (on run completion or at
-                # the next store read/single write/crash) instead of
-                # one store.write per 64 B block.
-                done = request.store_done
-                if index == done:
-                    done += 1
-                    extra = request.store_done_extra
-                    if extra:
-                        while done in extra:
-                            del extra[done]
-                            done += 1
-                    request.store_done = done
-                elif request.store_done_extra is None:
-                    request.store_done_extra = {index: False}
-                else:
-                    request.store_done_extra[index] = False
-                if not request.store_queued:
-                    request.store_queued = True
-                    state.pending_runs.append(request)
+                state.store.write(addr, request.block_data[index])
             state.write_counts[request.origin_key] += 1
             state.record_write_latency(latency)
             request.completed += 1
-            if (request.completed == request.total
-                    and request.store_queued):
-                self._flush_pending(state)
             fences = request.fences
             if fences:
                 position = 0
@@ -720,8 +620,6 @@ class MemoryController:
             if request.callback is not None:
                 payload = state.write_queue.youngest_payload(addr)
                 if payload is None:
-                    if state.pending_runs:
-                        self._flush_pending(state)
                     payload = state.store.read(addr)
             state.read_counts[request.origin_key] += 1
             state.record_read_latency(latency)

@@ -10,10 +10,11 @@ Every store speaks the same protocol:
 
 * block ops — ``write``/``read``/``copy_block``/``erase`` plus
   ``__contains__``/``__len__`` over written block addresses;
-* bulk ops — ``write_run``/``read_run``/``copy_run`` move ``count``
-  consecutive blocks in one call, so a batched bulk run (see
-  docs/PERFORMANCE.md) lands as one buffer splice instead of one store
-  call per 64 B block;
+* bulk ops — ``write_run``/``read_run`` move ``count`` consecutive
+  blocks as one contiguous buffer of ``count * block_bytes`` bytes, so
+  an untimed page copy (shadow copy-on-write, emergency eviction,
+  recovery's page restore) is one buffer splice instead of one store
+  call per block;
 * durability — ``msync()`` pushes contents to the backing medium.  A
   no-op here; :class:`~repro.mem.mmapstore.MmapStore` flushes its
   mapped file;
@@ -23,12 +24,9 @@ Every store speaks the same protocol:
   lives in :mod:`repro.core.recovery`; stores only move bytes), and
   ``read_meta()`` returns the newest one, or ``None`` before the first.
 
-``write_run`` accepts either one contiguous bytes-like payload of
-``count * block_bytes`` bytes, or a sequence of ``count`` per-block
-payloads where ``None`` entries are skipped (a bulk run may interleave
-payload-free timing traffic with real data).  Unwritten blocks always
-read as zeros; the zero block is cached per store so misses do not
-allocate (``read`` on a cold address is allocation-free).
+Unwritten blocks always read as zeros; the zero block is cached per
+store so misses do not allocate (``read`` on a cold address is
+allocation-free).
 
 :class:`FunctionalStore` (dict-backed) is the conformance reference:
 the mmap backend is pinned byte-identical to it by a hypothesis
@@ -37,12 +35,10 @@ property test (``tests/mem/test_mmapstore.py``).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Optional, Union
 
-#: A bulk payload: one contiguous buffer, or per-block chunks
-#: (``None`` entries carry no data and leave the block untouched).
-RunData = Union[bytes, bytearray, memoryview,
-                Sequence[Optional[bytes]]]
+#: A bulk payload: one contiguous buffer of ``count * block_bytes``.
+RunData = Union[bytes, bytearray, memoryview]
 
 #: Largest recovery record a store keeps: one 64 KiB mmap meta slot
 #: minus its 20-byte sequence/length/CRC header.
@@ -56,21 +52,12 @@ def check_meta_payload(payload: bytes) -> None:
                          f"{META_PAYLOAD_MAX}")
 
 
-def _run_chunks(data: RunData, count: int,
-                block_bytes: int) -> Sequence[Optional[bytes]]:
-    """Normalize a bulk payload to ``count`` per-block chunks."""
-    if isinstance(data, (bytes, bytearray, memoryview)):
-        if len(data) != count * block_bytes:
-            raise ValueError(
-                f"run payload must be {count * block_bytes} bytes "
-                f"({count} x {block_bytes}), got {len(data)}")
-        view = memoryview(data)
-        return [bytes(view[index * block_bytes:(index + 1) * block_bytes])
-                for index in range(count)]
-    if len(data) != count:
+def check_run_payload(data: RunData, count: int, block_bytes: int) -> None:
+    """Reject a bulk payload that is not exactly ``count`` blocks."""
+    if len(data) != count * block_bytes:
         raise ValueError(
-            f"run payload must have {count} block entries, got {len(data)}")
-    return data
+            f"run payload must be {count * block_bytes} bytes "
+            f"({count} x {block_bytes}), got {len(data)}")
 
 
 class FunctionalStore:
@@ -100,8 +87,11 @@ class FunctionalStore:
     def write_run(self, addr: int, count: int, data: RunData) -> None:
         """Store ``count`` consecutive blocks starting at ``addr``."""
         block_bytes = self.block_bytes
-        for index, chunk in enumerate(_run_chunks(data, count, block_bytes)):
-            self.write(addr + index * block_bytes, chunk)
+        check_run_payload(data, count, block_bytes)
+        view = memoryview(data)
+        for index in range(count):
+            start = index * block_bytes
+            self._blocks[addr + start] = bytes(view[start:start + block_bytes])
 
     def read_run(self, addr: int, count: int) -> bytes:
         """Read ``count`` consecutive blocks as one contiguous buffer."""
@@ -109,10 +99,6 @@ class FunctionalStore:
         return b"".join(self._blocks.get(addr + index * block_bytes,
                                          self._zero)
                         for index in range(count))
-
-    def copy_run(self, src: int, dst: int, count: int) -> None:
-        """Copy ``count`` consecutive blocks within this store."""
-        self.write_run(dst, count, self.read_run(src, count))
 
     def copy_block(self, src: int, dst: int) -> None:
         """Device-internal copy used by recovery/migration helpers."""
@@ -162,9 +148,6 @@ class NullStore:
 
     def read_run(self, addr: int, count: int) -> bytes:
         return self._zero * count
-
-    def copy_run(self, src: int, dst: int, count: int) -> None:
-        pass
 
     def copy_block(self, src: int, dst: int) -> None:
         pass

@@ -27,9 +27,9 @@ File layout (all regions page-aligned)::
     | region          |
     +-----------------+
 
-Bulk runs (``write_run``/``read_run``/``copy_run``) are single
-``mmap`` slice copies — a 128-block run is one buffer splice, not 128
-dict writes.  The meta slots hold the recovery record each controller
+Bulk runs (``write_run``/``read_run``) are single ``mmap`` slice
+copies — a 64-block page copy is one buffer splice, not 64 block
+writes.  The meta slots hold the recovery record each controller
 writes at its own durability point (committed translation tables,
 shadow page map, journal log directory; format in
 :mod:`repro.core.recovery`) next to the data it governs; the ping-pong
@@ -49,10 +49,11 @@ import mmap
 import os
 import struct
 import zlib
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..errors import ConfigError, RecoveryError
-from .datastore import META_PAYLOAD_MAX, RunData, check_meta_payload
+from .datastore import (META_PAYLOAD_MAX, RunData, check_meta_payload,
+                        check_run_payload)
 
 #: Identifies a ThyNVM-repro store image (8 bytes at offset 0).
 MAGIC = b"THYNVMST"
@@ -328,45 +329,15 @@ class MmapStore:
         index = self._index(addr)
         self._index(addr + (count - 1) * self.block_bytes)
         block_bytes = self.block_bytes
+        check_run_payload(data, count, block_bytes)
         base = self._data_offset + index * block_bytes
+        end = base + count * block_bytes
         if base < self._dirty_lo:
             self._dirty_lo = base
-        if base + count * block_bytes > self._dirty_hi:
-            self._dirty_hi = base + count * block_bytes
-        if isinstance(data, (bytes, bytearray, memoryview)):
-            if len(data) != count * block_bytes:
-                raise ValueError(
-                    f"run payload must be {count * block_bytes} bytes "
-                    f"({count} x {block_bytes}), got {len(data)}")
-            self._map[base:base + count * block_bytes] = data
-            self._set_run_bits(index, count)
-        else:
-            if len(data) != count:
-                raise ValueError(
-                    f"run payload must have {count} block entries, "
-                    f"got {len(data)}")
-            # Coalesce contiguous non-None chunks into single splices.
-            start = 0
-            while start < count:
-                if data[start] is None:
-                    start += 1
-                    continue
-                end = start
-                span: List[bytes] = []
-                while end < count and data[end] is not None:
-                    chunk = data[end]
-                    assert chunk is not None
-                    if len(chunk) != block_bytes:
-                        raise ValueError(
-                            f"payload must be {block_bytes} bytes, "
-                            f"got {len(chunk)}")
-                    span.append(chunk)
-                    end += 1
-                offset = base + start * block_bytes
-                self._map[offset:offset + len(span) * block_bytes] = (
-                    b"".join(span))
-                self._set_run_bits(index + start, len(span))
-                start = end
+        if end > self._dirty_hi:
+            self._dirty_hi = end
+        self._map[base:end] = data
+        self._set_run_bits(index, count)
         if self._sync_on_write:
             self._map.flush()
 
@@ -387,10 +358,6 @@ class MmapStore:
             self._map[base + i * block_bytes:base + (i + 1) * block_bytes]
             if bits >> i & 1 else self._zero
             for i in range(count))
-
-    def copy_run(self, src: int, dst: int, count: int) -> None:
-        """Copy ``count`` consecutive blocks within this store."""
-        self.write_run(dst, count, self.read_run(src, count))
 
     # ------------------------------------------------------------------
     # durability / meta records

@@ -54,10 +54,10 @@ def _run_cell(workload: str, system: str, ops: int,
               store: str = "auto") -> Dict[str, object]:
     """Time one (workload, system) cell; returns its measurement row.
 
-    ``store`` overrides the functional-store backend — the perf axis
-    that prices the mmap-backed store's per-service cost against the
-    default in-memory stores (docs/PERSISTENCE.md).  An mmap cell gets
-    a throwaway image directory, removed after the measurement.
+    ``store`` is the functional-store axis: ``"mmap"`` prices the
+    file-backed store's per-service cost against the default stores
+    (docs/PERSISTENCE.md).  An mmap cell gets a throwaway image
+    directory, removed after the measurement.
     """
     config = config if config is not None else experiment_config()
     store_dir: Optional[str] = None
@@ -68,11 +68,8 @@ def _run_cell(workload: str, system: str, ops: int,
         # durability boundary crashproc tests).  Commit-time medium
         # flushes are synchronous disk I/O, a durability knob priced
         # by the --msync flag on real runs, not a service-path cost.
-        config = dataclasses.replace(config, store_mode="mmap",
-                                     store_dir=store_dir,
+        config = dataclasses.replace(config, store_dir=store_dir,
                                      msync_policy="none")
-    elif store != "auto":
-        config = dataclasses.replace(config, store_mode=store)
     trace = micro_spec(workload, MICRO_FOOTPRINT, ops, seed=SEED).build()
     try:
         machine = build_system(system, config)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 import itertools
 from collections import deque
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 
 class Origin(enum.Enum):
@@ -76,8 +76,7 @@ class MemoryRequest:
         # Bulk-run state (present only when total > 1):
         "total", "stride", "issued", "queued", "serviced", "completed",
         "in_queue", "pending", "block_data", "admit_times", "fences",
-        "service_addr", "service_index", "store_done", "store_done_extra",
-        "store_flushed", "store_queued",
+        "service_addr", "service_index",
     )
 
     def __init__(
@@ -140,20 +139,6 @@ class MemoryRequest:
             [None] * total if carries_data else None)
         request.admit_times: List[int] = []
         request.fences: List[list] = []
-        # Deferred-store completion tracking.  Banks retire blocks out
-        # of order (a row hit beats a row miss), so "completed" is a
-        # set, not a count — but it is *nearly* in-order, so the set is
-        # kept as a contiguous prefix (blocks < store_done) plus a
-        # small overflow of out-of-order indices beyond it
-        # (store_done_extra, allocated lazily; the value records
-        # whether that block already reached the store).  Blocks <
-        # store_flushed have reached the functional store; store_queued
-        # marks membership in the controller's pending-flush list (see
-        # _flush_pending).
-        request.store_done = 0
-        request.store_done_extra: Optional[Dict[int, bool]] = None
-        request.store_flushed = 0
-        request.store_queued = False
         return request
 
     def block_addr(self, index: int) -> int:

@@ -57,6 +57,3 @@ def test_invalid_policy_combinations_rejected():
     with pytest.raises(SimulationError):
         ThyNVMPolicy(enable_page_writeback=False,
                      enable_block_remapping=False)
-    with pytest.raises(SimulationError):
-        ThyNVMPolicy(enable_block_remapping=False,
-                     adopt_on_first_write=False)

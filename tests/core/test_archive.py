@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.config import small_test_config
 from repro.core.archive import CheckpointArchive
 from repro.errors import RecoveryError
 
-from ..conftest import end_epoch, make_direct, pad, write_block
+from ..conftest import MANUAL_EPOCHS, end_epoch, make_direct, pad, write_block
 
 
 def test_archive_captures_every_commit():
@@ -77,3 +78,19 @@ def test_invalid_period_rejected():
     s = make_direct()
     with pytest.raises(RecoveryError):
         CheckpointArchive(s.ctl, every_n_epochs=0)
+
+
+def test_unarchived_block_reads_as_one_zero_block():
+    """A block the image never captured reads back at the configured
+    block size, exactly as §4.5 recovery returns it."""
+    s = make_direct(small_test_config(block_bytes=128,
+                                      epoch_cycles=MANUAL_EPOCHS))
+    archive = CheckpointArchive(s.ctl, num_blocks=4)
+    write_block(s, 0, b"kept")
+    end_epoch(s)
+    s.ctl.crash()
+    recovered = s.ctl.recover()
+    checkpoint = archive.recover_to(0)
+    assert checkpoint.visible_block(0) == pad(b"kept", 128)
+    assert checkpoint.visible_block(2) == bytes(128) == \
+        recovered.visible_block(2)

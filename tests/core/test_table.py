@@ -47,10 +47,9 @@ def test_dirty_tracking_and_persist_bytes():
     table.insert(1, "a")
     table.insert(2, "b")
     assert table.dirty_count() == 2
-    assert table.persist_bytes(full=False) == 14
-    assert table.persist_bytes(full=True) == 56
+    assert table.persist_bytes() == 14
     table.clear_dirty()
-    assert table.persist_bytes(full=False) == 0
+    assert table.persist_bytes() == 0
     table.mark_dirty(1)
     assert table.dirty_count() == 1
     # Removals must be persisted too.

@@ -69,3 +69,12 @@ def test_parser_help_lists_subcommands():
     parser = make_parser()
     assert {a.dest for a in parser._subparsers._actions[-1].choices[
         "run"]._actions if a.dest != "help"}  # parser is well-formed
+
+
+def test_retired_store_flag_is_rejected(tmp_path, monkeypatch):
+    """``repro run`` takes exact flag names: ``--store mmap`` must
+    fail, not pass as an abbreviated ``--store-dir mmap``."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit):
+        main(["run", "--store", "mmap", "--ops", "10"])
+    assert not (tmp_path / "mmap").exists()

@@ -1,6 +1,6 @@
 """The backing store must never change simulated outcomes.
 
-``--store mmap`` swaps the functional stores for file-backed mappings
+``--store-dir`` swaps the functional stores for file-backed mappings
 (docs/PERSISTENCE.md) — a *data plane* change only.  Timing, traffic
 breakdowns, epoch counts and stall attribution must stay byte-identical
 to the goldens captured with the in-memory stores, for every cell of
@@ -12,7 +12,6 @@ guard uses.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
@@ -26,8 +25,7 @@ from .test_golden_determinism import (
 
 
 def _run_mmap_cell(workload: str, system: str, tmp_path) -> dict:
-    config = dataclasses.replace(experiment_config(), store_mode="mmap",
-                                 store_dir=str(tmp_path))
+    config = experiment_config(store_dir=str(tmp_path))
     spec = micro_spec(workload, MICRO_FOOTPRINT, NUM_OPS, seed=SEED)
     result = run_workload(system, spec.build(), config)
     return json.loads(json.dumps(result.stats.summary(), sort_keys=True))
@@ -38,7 +36,7 @@ def _run_mmap_cell(workload: str, system: str, tmp_path) -> dict:
 def test_mmap_store_matches_golden(cell, workload, system, tmp_path):
     goldens = _load_goldens()
     assert _run_mmap_cell(workload, system, tmp_path) == goldens[cell], (
-        f"--store mmap changed simulated results for {cell}: the store "
+        f"--store-dir changed simulated results for {cell}: the store "
         f"backend must be a pure data-plane swap (docs/PERSISTENCE.md)")
 
 

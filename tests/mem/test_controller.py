@@ -154,3 +154,51 @@ def test_stats_record_origin(setup):
     engine.run_until_idle()
     assert stats.nvm_writes.get("checkpoint") == 1
     assert stats.nvm_writes.get("migration") == 1
+
+
+# --- store-write rule: a serviced write is in the store at its service ------
+
+
+RUN_BLOCKS = 8
+
+
+@pytest.mark.parametrize("interleave", [False, True],
+                         ids=["run", "fallback"])
+@pytest.mark.parametrize("crash_after", [1, 3, 6, 8])
+def test_bulk_write_block_is_durable_at_its_service(setup, crash_after,
+                                                   interleave):
+    """Each block of a data-carrying run is in the NVM store when its
+    completion callback fires, and a crash keeps exactly the completed
+    blocks.  The interleaved single write (same bank, other row, so it
+    stays queued) takes the queue tail, so blocks 3-7 are admitted as
+    fallback singles."""
+    engine, controller, _stats, cfg = setup
+    size = cfg.block_bytes
+    payloads = [bytes([index + 1]) * size for index in range(RUN_BLOCKS)]
+    completed = []
+
+    def on_block(run, index, _payload):
+        store = controller.functional_store(DeviceKind.NVM)
+        assert store.read(run.block_addr(index)) == payloads[index]
+        completed.append(index)
+        if len(completed) == crash_after:
+            controller.crash()
+
+    run = MemoryRequest.bulk(0, True, Origin.CHECKPOINT, RUN_BLOCKS, size,
+                             callback=on_block, carries_data=True)
+    for index in range(RUN_BLOCKS):
+        if interleave and index == 3:
+            other_row = cfg.row_bytes * cfg.num_banks     # bank 0, row 1
+            assert controller.submit(DeviceKind.NVM,
+                                     _write(other_row, b"s" * size))
+        assert controller.bulk_admit_next(DeviceKind.NVM, run,
+                                          payloads[index])
+    # Block 0 is in service; the rest sit in the run's entry or, past
+    # the interleaved write, in fallback singles.
+    assert run.queued == (2 if interleave else RUN_BLOCKS - 1)
+    engine.run_until_idle()
+    assert len(completed) == crash_after
+    store = controller.functional_store(DeviceKind.NVM)
+    for index in range(RUN_BLOCKS):
+        expected = payloads[index] if index in completed else bytes(size)
+        assert store.read(run.block_addr(index)) == expected

@@ -95,26 +95,10 @@ def test_write_run_contiguous_buffer():
     assert store.read(32) == b"C" * 8
 
 
-def test_write_run_sequence_with_none_holes():
-    store = FunctionalStore(8)
-    store.write(24, b"x" * 8)
-    store.write_run(16, 3, [b"A" * 8, None, b"C" * 8])
-    assert store.read(16) == b"A" * 8
-    assert store.read(24) == b"x" * 8     # hole left untouched
-    assert store.read(32) == b"C" * 8
-
-
 def test_read_run_fills_unwritten_with_zeros():
     store = FunctionalStore(8)
     store.write(8, b"y" * 8)
     assert store.read_run(0, 3) == bytes(8) + b"y" * 8 + bytes(8)
-
-
-def test_copy_run():
-    store = FunctionalStore(8)
-    store.write_run(0, 2, b"a" * 8 + b"b" * 8)
-    store.copy_run(0, 64, 2)
-    assert store.read_run(64, 2) == b"a" * 8 + b"b" * 8
 
 
 def test_write_run_rejects_wrong_sizes():
@@ -131,5 +115,4 @@ def test_null_store_bulk_ops_inert():
     store = NullStore(8)
     store.write_run(0, 2, b"a" * 16)
     assert store.read_run(0, 2) == bytes(16)
-    store.copy_run(0, 64, 2)
     assert len(store) == 0

@@ -52,15 +52,10 @@ _ops = st.one_of(
     st.tuples(st.just("read"), st.integers(0, BLOCKS - 1)),
     st.tuples(st.just("write_run"), st.integers(0, BLOCKS - 1),
               st.integers(1, 6), st.integers(0, 255)),
-    st.tuples(st.just("write_run_holes"), st.integers(0, BLOCKS - 1),
-              st.lists(st.one_of(st.none(), st.integers(0, 255)),
-                       min_size=1, max_size=6)),
     st.tuples(st.just("read_run"), st.integers(0, BLOCKS - 1),
               st.integers(1, 6)),
     st.tuples(st.just("copy_block"), st.integers(0, BLOCKS - 1),
               st.integers(0, BLOCKS - 1)),
-    st.tuples(st.just("copy_run"), st.integers(0, BLOCKS - 1),
-              st.integers(0, BLOCKS - 1), st.integers(1, 6)),
     st.tuples(st.just("erase")),
     st.tuples(st.just("write_meta"), st.binary(max_size=96)),
     st.tuples(st.just("read_meta")),
@@ -100,13 +95,6 @@ def test_mmap_store_conforms_to_functional_reference(tmp_path_factory, ops):
                 data = b"".join(_payload(tag + i) for i in range(count))
                 for target in (reference, store):
                     target.write_run(start * BLOCK, count, data)
-            elif kind == "write_run_holes":
-                _, start, tags = op
-                count = _clip(start, len(tags))
-                chunks = [None if tag is None else _payload(tag)
-                          for tag in tags[:count]]
-                for target in (reference, store):
-                    target.write_run(start * BLOCK, count, chunks)
             elif kind == "read_run":
                 _, start, count = op
                 count = _clip(start, count)
@@ -116,11 +104,6 @@ def test_mmap_store_conforms_to_functional_reference(tmp_path_factory, ops):
                 _, src, dst = op
                 for target in (reference, store):
                     target.copy_block(src * BLOCK, dst * BLOCK)
-            elif kind == "copy_run":
-                _, src, dst, count = op
-                count = _clip(src, _clip(dst, count))
-                for target in (reference, store):
-                    target.copy_run(src * BLOCK, dst * BLOCK, count)
             elif kind == "erase":
                 for target in (reference, store):
                     target.erase()
