@@ -31,8 +31,6 @@ See ``docs/ANALYSIS.md`` for the rule catalogue and suppression
 syntax, and ``docs/VERIFY.md`` for the model checker.
 """
 
-from .baseline import apply_baseline, finding_key, load_baseline, \
-    write_baseline
 from .context import ModuleContext, load_module
 from .effects import Effect, EffectGraph
 from .findings import Finding, Severity
@@ -41,10 +39,10 @@ from .graphs import dead_states, extract_enum_members, \
 from .project import ProjectIndex, build_index
 from .registry import Rule, all_rules, get_rule, register
 from .report import FORMATTERS, ToolReport, format_github, format_json, \
-    format_sarif, format_text, lint_tool_report, render, render_github, \
-    render_json, render_rule_catalogue, render_rule_explain, render_text
-from .runner import AnalysisReport, LintConfig, changed_files, \
-    iter_python_files, run_analysis
+    format_text, lint_tool_report, render, render_rule_catalogue, \
+    render_rule_explain
+from .runner import AnalysisReport, LintConfig, iter_python_files, \
+    run_analysis
 
 __all__ = [
     "AnalysisReport",
@@ -59,30 +57,21 @@ __all__ = [
     "Severity",
     "ToolReport",
     "all_rules",
-    "apply_baseline",
     "build_index",
-    "changed_files",
-    "finding_key",
     "dead_states",
     "extract_enum_members",
     "extract_transition_table",
     "format_github",
     "format_json",
-    "format_sarif",
     "format_text",
     "get_rule",
     "iter_python_files",
     "lint_tool_report",
-    "load_baseline",
     "load_module",
     "reachable",
     "register",
     "render",
-    "render_github",
-    "render_json",
     "render_rule_catalogue",
     "render_rule_explain",
-    "render_text",
     "run_analysis",
-    "write_baseline",
 ]

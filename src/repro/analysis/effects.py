@@ -734,29 +734,3 @@ class EffectGraph:
             seen.add(current)
             frontier.extend(self._edges.get(current, ()))
         return False
-
-    # -- cache support ----------------------------------------------------
-
-    def facts_material(self) -> str:
-        """Deterministic serialisation of every cross-module fact the
-        rules consume; part of the incremental-cache key so a change in
-        one module invalidates exactly the modules whose findings could
-        change."""
-        lines: List[str] = []
-        for qualname in sorted(self.functions):
-            info = self.functions[qualname]
-            transfer = self._transfer[qualname]
-            effects = ",".join(
-                f"{event.effect.value}@{event.line}"
-                for event in info.events if event.effect is not None)
-            edges = ",".join(sorted(self._edges.get(qualname, ())))
-            footprint = ",".join(f"{c}.{a}" for c, a
-                                 in sorted(self.footprint(qualname)))
-            lines.append(
-                f"{qualname}|entry={int(self.entry_state[qualname])}"
-                f"|transfer={int(transfer[0])}{int(transfer[1])}"
-                f"|effects={effects}|edges={edges}|fp={footprint}")
-        for site in self.schedule_sites():
-            lines.append(f"site:{site.function}:{site.line}:{site.col}"
-                         f"->{','.join(site.handlers)}")
-        return "\n".join(lines)

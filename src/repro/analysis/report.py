@@ -4,12 +4,8 @@
 (:class:`~repro.analysis.runner.AnalysisReport`,
 :class:`~repro.analysis.verify.runner.VerifyReport`) but share every
 output format.  Both are adapted into a neutral :class:`ToolReport`
-and rendered through :data:`FORMATTERS` — text, json, github workflow
-annotations, and SARIF 2.1.0 for GitHub code scanning.
-
-The lint ``text``/``json``/``github`` output is byte-identical to what
-the pre-registry emitters produced; the legacy ``render_text`` /
-``render_json`` / ``render_github`` entry points remain as wrappers.
+and rendered through :data:`FORMATTERS`: text, json and github
+workflow annotations.
 """
 
 from __future__ import annotations
@@ -27,17 +23,14 @@ from .runner import AnalysisReport
 class ToolReport:
     """Tool-neutral view of a findings report for the formatters."""
 
-    tool: str                            # SARIF driver name
     findings: List[Finding]
     summary_line: str                    # trailing human summary
     summary: Dict[str, object]           # json "summary" object
-    rule_descriptions: Dict[str, str] = field(default_factory=dict)
     extra: Dict[str, object] = field(default_factory=dict)
 
 
 def lint_tool_report(report: AnalysisReport) -> ToolReport:
     return ToolReport(
-        tool="repro-lint",
         findings=list(report.findings),
         summary_line=(f"{report.errors} error(s), "
                       f"{report.warnings} warning(s) "
@@ -46,11 +39,7 @@ def lint_tool_report(report: AnalysisReport) -> ToolReport:
             "errors": report.errors,
             "warnings": report.warnings,
             "files_scanned": report.files_scanned,
-            "files_cached": report.files_cached,
-            "files_analyzed": report.files_analyzed,
         },
-        rule_descriptions={rule.id: rule.description
-                           for rule in all_rules()},
     )
 
 
@@ -93,46 +82,11 @@ def format_github(report: ToolReport) -> str:
     return "\n".join(lines)
 
 
-def format_sarif(report: ToolReport) -> str:
-    """SARIF 2.1.0 (GitHub code scanning ingestible), deterministic."""
-    rule_ids = sorted({finding.rule for finding in report.findings})
-    rules = [{
-        "id": rule_id,
-        "shortDescription": {
-            "text": report.rule_descriptions.get(rule_id, rule_id)},
-    } for rule_id in rule_ids]
-    rule_index = {rule_id: i for i, rule_id in enumerate(rule_ids)}
-    results = [{
-        "ruleId": finding.rule,
-        "ruleIndex": rule_index[finding.rule],
-        "level": ("error" if finding.severity.value == "error"
-                  else "warning"),
-        "message": {"text": finding.message},
-        "locations": [{
-            "physicalLocation": {
-                "artifactLocation": {"uri": finding.path},
-                "region": {"startLine": max(1, finding.line),
-                           "startColumn": finding.col + 1},
-            },
-        }],
-    } for finding in report.findings]
-    payload = {
-        "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-        "version": "2.1.0",
-        "runs": [{
-            "tool": {"driver": {"name": report.tool, "rules": rules}},
-            "results": results,
-        }],
-    }
-    return json.dumps(payload, indent=2)
-
-
 #: The formatter registry both CLIs dispatch through.
 FORMATTERS: Dict[str, Callable[[ToolReport], str]] = {
     "text": format_text,
     "json": format_json,
     "github": format_github,
-    "sarif": format_sarif,
 }
 
 
@@ -143,20 +97,6 @@ def render(report: ToolReport, fmt: str) -> str:
         raise KeyError(f"unknown output format {fmt!r} "
                        f"(have: {', '.join(sorted(FORMATTERS))})")
     return formatter(report)
-
-
-# -- legacy lint entry points (kept for compatibility) ----------------------
-
-def render_text(report: AnalysisReport) -> str:
-    return format_text(lint_tool_report(report))
-
-
-def render_json(report: AnalysisReport) -> str:
-    return format_json(lint_tool_report(report))
-
-
-def render_github(report: AnalysisReport) -> str:
-    return format_github(lint_tool_report(report))
 
 
 def render_rule_catalogue() -> str:

@@ -1,7 +1,8 @@
 """Collect files, run rules, filter suppressions, aggregate findings.
 
 :func:`run_analysis` is the single entry point used by the CLI and the
-tests.  Scoping is configured through :class:`LintConfig`:
+tests; every run parses and analyzes the whole tree it is given.
+Scoping is configured through :class:`LintConfig`:
 
 * ``determinism_scope`` — substring prefixes selecting the modules the
   determinism family applies to (the simulator-decision core).  An
@@ -15,10 +16,9 @@ tests.  Scoping is configured through :class:`LintConfig`:
 from __future__ import annotations
 
 import fnmatch
-import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .context import ModuleContext, load_module
 from .findings import Finding, Severity
@@ -58,9 +58,6 @@ class AnalysisReport:
 
     findings: List[Finding] = field(default_factory=list)
     files_scanned: int = 0
-    # Incremental-cache observability (both 0 when caching is off).
-    files_cached: int = 0
-    files_analyzed: int = 0
 
     @property
     def errors(self) -> int:
@@ -104,38 +101,19 @@ def _path_suppressed(config: LintConfig, finding: Finding) -> bool:
 
 
 def run_analysis(paths: Sequence[Union[str, Path]],
-                 config: Optional[LintConfig] = None,
-                 cache_dir: Optional[Union[str, Path]] = None,
-                 restrict_to: Optional[Iterable[Union[str, Path]]] = None,
-                 ) -> AnalysisReport:
+                 config: Optional[LintConfig] = None) -> AnalysisReport:
     """Analyze ``paths`` (files or directories) under ``config``.
 
-    With a ``cache_dir``, per-file findings are loaded from the
-    incremental cache (:mod:`repro.analysis.cache`) when the file, the
-    rule set, the config *and* the cross-module facts are all
-    unchanged.  Every file is still parsed — the project index and
-    effect graph are global inputs — but rule execution is skipped for
-    cache hits.
-
-    ``restrict_to`` (``--changed-only``) limits *reporting* to the
-    given files: every file under ``paths`` is still parsed so the
-    cross-module index and effect graph stay whole-project, but rule
-    execution, caching and findings cover only the restricted set.
+    Every file is parsed and every selected rule runs on every parsed
+    module: the project index and effect graph are whole-tree inputs.
     """
-    from . import cache as lint_cache
-
     config = config if config is not None else LintConfig()
-    cache = Path(cache_dir) if cache_dir is not None else None
     files = iter_python_files(Path(p) for p in paths)
-    restrict = (None if restrict_to is None
-                else {Path(p).resolve() for p in restrict_to})
-    loaded: List[Tuple[Path, ModuleContext]] = []
+    modules: List[ModuleContext] = []
     findings: List[Finding] = []
-    files_cached = 0
-    files_analyzed = 0
     for file_path in files:
         try:
-            loaded.append((file_path, load_module(file_path)))
+            modules.append(load_module(file_path))
         except SyntaxError as exc:
             findings.append(Finding(
                 rule="parse-error",
@@ -145,23 +123,9 @@ def run_analysis(paths: Sequence[Union[str, Path]],
                 col=(exc.offset or 1) - 1,
                 message=f"cannot parse module: {exc.msg}",
             ))
-            files_analyzed += 1          # unparsable files never cache
-    index = build_index([module for _, module in loaded])
-    facts = (lint_cache.facts_digest(index, config)
-             if cache is not None else "")
+    index = build_index(modules)
     selected = None if config.select is None else set(config.select)
-    for file_path, module in loaded:
-        if restrict is not None and file_path.resolve() not in restrict:
-            continue
-        key = None
-        if cache is not None:
-            key = lint_cache.entry_key(module.relpath, module.source, facts)
-            cached = lint_cache.load_findings(cache, key)
-            if cached is not None:
-                findings.extend(cached)
-                files_cached += 1
-                continue
-        module_findings: List[Finding] = []
+    for module in modules:
         for rule in all_rules():
             if selected is not None and rule.id not in selected:
                 continue
@@ -170,48 +134,8 @@ def run_analysis(paths: Sequence[Union[str, Path]],
                     continue
                 if _path_suppressed(config, finding):
                     continue
-                module_findings.append(finding)
-        if cache is not None and key is not None:
-            lint_cache.store_findings(cache, key, module.relpath,
-                                      module_findings)
-        findings.extend(module_findings)
-        files_analyzed += 1
-    # Canonical report-time order: fully keyed (message included as the
-    # final tiebreaker) so cold and warm cache runs emit byte-identical
-    # output regardless of rule-execution vs cache-merge ordering.
+                findings.append(finding)
+    # Canonical report-time order, fully keyed (message included as the
+    # final tiebreaker) so output does not depend on rule order.
     findings.sort(key=lambda f: (*f.sort_key(), f.message))
-    return AnalysisReport(findings=findings, files_scanned=len(files),
-                          files_cached=files_cached,
-                          files_analyzed=files_analyzed)
-
-
-def changed_files(paths: Sequence[Union[str, Path]]) -> Optional[List[Path]]:
-    """Git-diff-aware file selection for ``repro lint --changed-only``.
-
-    The restricted set is every tracked file modified against ``HEAD``
-    (worktree or index) plus untracked non-ignored files, intersected
-    with the ``.py`` files under ``paths``.  Returns None when the
-    working directory is not inside a git work tree (the CLI turns
-    that into a usage error rather than silently linting everything).
-    """
-    try:
-        top = subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"],
-            capture_output=True, text=True, check=True).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    repo_root = Path(top)
-    changed: Set[Path] = set()
-    for args in (["git", "diff", "--name-only", "HEAD"],
-                 ["git", "diff", "--name-only", "--cached"],
-                 ["git", "ls-files", "--others", "--exclude-standard"]):
-        try:
-            out = subprocess.run(args, capture_output=True, text=True,
-                                 check=True).stdout
-        except (OSError, subprocess.CalledProcessError):
-            return None
-        for name in out.splitlines():
-            if name:
-                changed.add((repo_root / name).resolve())
-    targets = iter_python_files(Path(p) for p in paths)
-    return [path for path in targets if path.resolve() in changed]
+    return AnalysisReport(findings=findings, files_scanned=len(files))

@@ -17,8 +17,8 @@ from .counterexample import compile_plan, plan_string
 from .extract import PROTOCOL_FILES, ProtocolFacts, extract_facts
 from .model import (AbstractState, Counterexample, Emission, Exploration,
                     Trace, explore)
-from .runner import (DEFAULT_VERIFY_CACHE_DIR, VerifyConfig, VerifyReport,
-                     abstract_site_kinds, run_verify)
+from .runner import (VerifyConfig, VerifyReport, abstract_site_kinds,
+                     run_verify)
 from .schemes import (DEFAULT_EPOCHS, VERIFY_SYSTEMS, VERIFY_WORKLOADS,
                       build_exploration, build_traces)
 
@@ -26,7 +26,6 @@ __all__ = [
     "AbstractState",
     "Counterexample",
     "DEFAULT_EPOCHS",
-    "DEFAULT_VERIFY_CACHE_DIR",
     "Emission",
     "Exploration",
     "PROTOCOL_FILES",

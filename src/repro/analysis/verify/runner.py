@@ -1,44 +1,31 @@
-"""Drive the verifier: extract facts, explore, cache, report.
+"""Drive the verifier: extract facts, explore, report.
 
 ``run_verify`` is to ``repro verify`` what
 :func:`repro.analysis.runner.run_analysis` is to ``repro lint``: it
-produces a list of :class:`~repro.analysis.findings.Finding` plus
-cached/analyzed counters, and the CLI renders it through the shared
-formatter registry.  Verdicts are cached per *system* (the unit of
-exploration) under ``.repro-cache/verify/`` on the same
-:mod:`repro.diskcache` machinery as the lint cache; a cache entry is
-keyed on the byte content of every protocol source the extraction
-reads plus the analysis package digest, so a warm rerun on an
-unchanged tree parses zero files.
+extracts the protocol facts once, explores every configured system's
+abstract machine, and returns the findings plus a per-system summary
+that the CLI renders through the shared formatter registry.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
-from ... import diskcache
-from ..cache import finding_from_dict, ruleset_version
 from ..findings import Finding, Severity
 from ..report import ToolReport
-from .checks import all_checks
 from .counterexample import plan_string
-from .extract import (PROTOCOL_FILES, ProtocolFacts, default_root,
-                      extract_facts)
+from .extract import ProtocolFacts, default_root, extract_facts
 from .model import Counterexample, Exploration
 from .schemes import (DEFAULT_EPOCHS, VERIFY_SYSTEMS, VERIFY_WORKLOADS,
                       build_exploration)
 
-DEFAULT_VERIFY_CACHE_DIR = ".repro-cache/verify"
-_CACHE_FORMAT = 1
-
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """What to verify (part of the cache key via ``repr``)."""
+    """What to verify."""
 
     systems: Tuple[str, ...] = VERIFY_SYSTEMS
     workloads: Tuple[str, ...] = VERIFY_WORKLOADS
@@ -52,9 +39,6 @@ class VerifyReport:
     findings: List[Finding] = field(default_factory=list)
     systems: Dict[str, Dict[str, object]] = field(default_factory=dict)
     systems_scanned: int = 0
-    systems_cached: int = 0
-    systems_analyzed: int = 0
-    files_parsed: int = 0
 
     @property
     def errors(self) -> int:
@@ -180,93 +164,23 @@ def _system_summary(exploration: Exploration) -> Dict[str, object]:
     }
 
 
-def _system_key(system: str, config: VerifyConfig,
-                file_shas: List[Tuple[str, str]]) -> str:
-    return diskcache.digest(
-        f"format={_CACHE_FORMAT}",
-        f"ruleset={ruleset_version()}",
-        f"system={system}",
-        f"config={config!r}",
-        *[f"dep={rel}:{sha}" for rel, sha in file_shas],
-    )
-
-
-def _dep_shas(root: Path) -> List[Tuple[str, str]]:
-    """Byte digests of every protocol source (no parsing)."""
-    shas: List[Tuple[str, str]] = []
-    for rel in PROTOCOL_FILES:
-        path = root / rel
-        digest = (hashlib.sha256(path.read_bytes()).hexdigest()
-                  if path.exists() else "missing")
-        shas.append((rel, digest))
-    return shas
-
-
 def run_verify(config: Optional[VerifyConfig] = None,
-               root: Optional[Path] = None,
-               cache_dir: Optional[Path] = None) -> VerifyReport:
-    """Verify each configured system, reusing cached verdicts.
-
-    ``cache_dir`` None disables caching entirely (``--no-cache``).
-    """
+               root: Optional[Path] = None) -> VerifyReport:
+    """Extract the protocol facts once, then verify each system."""
     config = config if config is not None else VerifyConfig()
     root = root if root is not None else default_root()
     report = VerifyReport()
-    file_shas = _dep_shas(root)
-
-    merged: List[Finding] = []
-    facts: Optional[ProtocolFacts] = None
+    facts = extract_facts(root)
+    report.findings.extend(_extraction_findings(root, facts))
     for system in config.systems:
         report.systems_scanned += 1
-        key = _system_key(system, config, file_shas)
-        if cache_dir is not None:
-            entry = diskcache.load_entry(cache_dir, key, _CACHE_FORMAT)
-            if entry is not None:
-                raw = entry.get("findings")
-                summary = entry.get("summary")
-                if isinstance(raw, list) and isinstance(summary, dict):
-                    try:
-                        cached = [finding_from_dict(f) for f in raw]
-                    except (KeyError, TypeError, ValueError):
-                        cached = None
-                    if cached is not None:
-                        merged.extend(cached)
-                        report.systems[system] = summary
-                        report.systems_cached += 1
-                        continue
-        if facts is None:
-            facts = extract_facts(root)
-            report.files_parsed = len(facts.files)
         exploration = build_exploration(system, facts, config.epochs,
                                         config.workloads)
-        findings = _extraction_findings(root, facts)
-        findings.extend(_graph_findings(root, facts, exploration))
-        findings.extend(
+        report.findings.extend(_graph_findings(root, facts, exploration))
+        report.findings.extend(
             _counterexample_finding(root, f"{system} (abstract)", ce)
             for ce in exploration.counterexamples)
-        summary = _system_summary(exploration)
-        report.systems[system] = summary
-        report.systems_analyzed += 1
-        merged.extend(findings)
-        if cache_dir is not None:
-            diskcache.store_entry(cache_dir, key, {
-                "format": _CACHE_FORMAT,
-                "system": system,
-                "findings": [f.to_dict() for f in findings],
-                "summary": summary,
-            })
-
-    # Extraction warnings ride along with every system's verdict (so a
-    # fully-cached run still shows them); collapse the duplicates, then
-    # apply the canonical report-time ordering.
-    seen: Set[Tuple[str, str, int, int, str]] = set()
-    for finding in merged:
-        key_f = (finding.rule, finding.path, finding.line, finding.col,
-                 finding.message)
-        if key_f in seen:
-            continue
-        seen.add(key_f)
-        report.findings.append(finding)
+        report.systems[system] = _system_summary(exploration)
     report.findings.sort(key=lambda f: (*f.sort_key(), f.message))
     return report
 
@@ -286,10 +200,7 @@ def abstract_site_kinds(system: str,
 
 def verify_tool_report(report: VerifyReport) -> ToolReport:
     """Adapt a VerifyReport for the shared formatter registry."""
-    descriptions = {check.id: check.description
-                    for check in all_checks()}
     return ToolReport(
-        tool="repro-verify",
         findings=list(report.findings),
         summary_line=(f"{report.errors} error(s), "
                       f"{report.warnings} warning(s) "
@@ -298,10 +209,6 @@ def verify_tool_report(report: VerifyReport) -> ToolReport:
             "errors": report.errors,
             "warnings": report.warnings,
             "systems_scanned": report.systems_scanned,
-            "systems_cached": report.systems_cached,
-            "systems_analyzed": report.systems_analyzed,
-            "files_parsed": report.files_parsed,
         },
-        rule_descriptions=descriptions,
         extra={"systems": report.systems},
     )

@@ -24,7 +24,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 from .config import SystemConfig
 from .errors import FuzzFailure, ReproError, exit_code_for
@@ -289,11 +289,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     """`repro lint`: run the protocol-aware static analyzer."""
     from .analysis import (render_rule_catalogue, render_rule_explain,
                            run_analysis)
-    from .analysis.baseline import (apply_baseline, load_baseline,
-                                    write_baseline)
-    from .analysis.cache import DEFAULT_LINT_CACHE_DIR
     from .analysis.report import lint_tool_report, render
-    from .analysis.runner import changed_files
     if args.list_rules:
         print(render_rule_catalogue())
         return 0
@@ -311,61 +307,20 @@ def cmd_lint(args: argparse.Namespace) -> int:
         # A typo'd path must not green-light a CI run.
         print(f"lint: no such path: {', '.join(missing)}", file=sys.stderr)
         return 2
-    restrict_to = None
-    if args.changed_only:
-        restrict_to = changed_files(paths)
-        if restrict_to is None:
-            print("lint: --changed-only requires a git work tree",
-                  file=sys.stderr)
-            return 2
-    baseline_path = Path(args.baseline) if args.baseline else None
-    if args.update_baseline and baseline_path is None:
-        print("lint: --update-baseline requires --baseline FILE",
+    report = run_analysis(paths)
+    if not report.files_scanned:
+        # Nor may a path that holds nothing to analyze.
+        print(f"lint: no Python files under: {', '.join(paths)}",
               file=sys.stderr)
         return 2
-    baseline = None
-    if baseline_path is not None and not args.update_baseline:
-        try:
-            baseline = load_baseline(baseline_path)
-        except FileNotFoundError:
-            print(f"lint: baseline {baseline_path} does not exist "
-                  f"(record one with --update-baseline)", file=sys.stderr)
-            return 2
-        except ValueError as exc:
-            print(f"lint: bad baseline {baseline_path}: {exc}",
-                  file=sys.stderr)
-            return 2
-    cache_dir = None if args.no_cache else (args.cache_dir
-                                            or DEFAULT_LINT_CACHE_DIR)
-    report = run_analysis(paths, cache_dir=cache_dir,
-                          restrict_to=restrict_to)
-    if baseline_path is not None and args.update_baseline:
-        write_baseline(baseline_path, report.findings)
-        print(f"lint: baselined {len(report.findings)} finding(s) "
-              f"-> {baseline_path}", file=sys.stderr)
-        return 0
-    if baseline is not None:
-        report.findings, baselined, stale = apply_baseline(
-            report.findings, baseline)
-        note = (f"lint baseline: {baselined} baselined, {stale} stale "
-                f"({baseline_path})")
-        if stale:
-            note += " — refresh with --update-baseline"
-        print(note, file=sys.stderr)
-    output_format = "json" if args.json else args.format
-    print(render(lint_tool_report(report), output_format))
-    if cache_dir is not None:
-        print(f"lint cache: {report.files_cached} cached, "
-              f"{report.files_analyzed} analyzed ({cache_dir})",
-              file=sys.stderr)
+    print(render(lint_tool_report(report), args.format))
     return report.exit_code(strict=args.strict)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """`repro verify`: static crash-consistency model checking."""
     from .analysis.report import render
-    from .analysis.verify import (DEFAULT_VERIFY_CACHE_DIR, VERIFY_SYSTEMS,
-                                  VerifyConfig, run_verify)
+    from .analysis.verify import VERIFY_SYSTEMS, VerifyConfig, run_verify
     from .analysis.verify.checks import (all_checks, render_check_explain)
     from .analysis.verify.runner import verify_tool_report
     if args.list_checks:
@@ -381,23 +336,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
                   f"`repro verify --list-checks`", file=sys.stderr)
             return 2
         return 0
-    systems = tuple(args.system) if args.system else VERIFY_SYSTEMS
+    systems = (tuple(dict.fromkeys(args.system)) if args.system
+               else VERIFY_SYSTEMS)
     unknown = [s for s in systems if s not in VERIFY_SYSTEMS]
     if unknown:
         print(f"verify: unknown system(s): {', '.join(unknown)} "
               f"(have: {', '.join(VERIFY_SYSTEMS)})", file=sys.stderr)
         return 2
-    cache_dir = None if args.no_cache else Path(
-        args.cache_dir or DEFAULT_VERIFY_CACHE_DIR)
-    config = VerifyConfig(systems=systems, epochs=args.epochs)
-    report = run_verify(config, cache_dir=cache_dir)
-    output_format = "json" if args.json else args.format
-    print(render(verify_tool_report(report), output_format))
-    if cache_dir is not None:
-        print(f"verify cache: {report.systems_cached} cached, "
-              f"{report.systems_analyzed} analyzed, "
-              f"{report.files_parsed} file(s) parsed ({cache_dir})",
+    if args.epochs < 1:
+        print(f"verify: --epochs must be at least 1 (got {args.epochs})",
               file=sys.stderr)
+        return 2
+    config = VerifyConfig(systems=systems, epochs=args.epochs)
+    report = run_verify(config)
+    print(render(verify_tool_report(report), args.format))
     return report.exit_code(strict=args.strict)
 
 
@@ -647,38 +599,17 @@ def make_parser() -> argparse.ArgumentParser:
         "lint", help="protocol-aware static analysis (docs/ANALYSIS.md)")
     lint_parser.add_argument("paths", nargs="*",
                              help="files/directories to analyze (default src)")
-    lint_parser.add_argument("--json", action="store_true",
-                             help="machine-readable findings "
-                                  "(alias for --format json)")
     lint_parser.add_argument("--format", default="text",
-                             choices=("text", "json", "github", "sarif"),
+                             choices=("text", "json", "github"),
                              help="output format; 'github' emits Actions "
-                                  "::error annotations, 'sarif' emits "
-                                  "SARIF 2.1.0 for code scanning")
+                                  "::error annotations")
     lint_parser.add_argument("--strict", action="store_true",
                              help="warnings also fail the run")
-    lint_parser.add_argument("--changed-only", action="store_true",
-                             help="only report files changed vs git HEAD "
-                                  "(staged, unstaged or untracked); the "
-                                  "rest of the tree is still parsed for "
-                                  "cross-module facts")
     lint_parser.add_argument("--list-rules", action="store_true",
                              help="print the rule catalogue and exit")
     lint_parser.add_argument("--explain", metavar="RULE_ID", default=None,
                              help="print one rule's doc, rationale and "
                                   "examples, then exit")
-    lint_parser.add_argument("--baseline", metavar="FILE", default=None,
-                             help="findings snapshot: matched findings "
-                                  "drop out of the report and exit code, "
-                                  "new ones still fail (docs/ANALYSIS.md)")
-    lint_parser.add_argument("--update-baseline", action="store_true",
-                             help="rewrite --baseline FILE from this "
-                                  "run's findings and exit 0")
-    lint_parser.add_argument("--cache-dir", default=None,
-                             help="incremental lint cache directory "
-                                  "(default .repro-cache/lint)")
-    lint_parser.add_argument("--no-cache", action="store_true",
-                             help="analyze every file, bypassing the cache")
     lint_parser.set_defaults(func=cmd_lint)
 
     verify_parser = sub.add_parser(
@@ -691,11 +622,8 @@ def make_parser() -> argparse.ArgumentParser:
     verify_parser.add_argument("--epochs", type=int, default=3,
                                help="epoch boundaries each abstract "
                                     "machine drives (default 3)")
-    verify_parser.add_argument("--json", action="store_true",
-                               help="machine-readable verdict "
-                                    "(alias for --format json)")
     verify_parser.add_argument("--format", default="text",
-                               choices=("text", "json", "github", "sarif"),
+                               choices=("text", "json", "github"),
                                help="output format (shared with "
                                     "repro lint)")
     verify_parser.add_argument("--strict", action="store_true",
@@ -708,12 +636,6 @@ def make_parser() -> argparse.ArgumentParser:
                                help="print one check's doc, rationale and "
                                     "examples, then exit (lint rule ids "
                                     "also accepted)")
-    verify_parser.add_argument("--cache-dir", default=None,
-                               help="verdict cache directory "
-                                    "(default .repro-cache/verify)")
-    verify_parser.add_argument("--no-cache", action="store_true",
-                               help="re-verify every system, bypassing "
-                                    "the cache")
     verify_parser.set_defaults(func=cmd_verify)
 
     fuzz_parser = sub.add_parser(

@@ -1,8 +1,8 @@
 """Shared on-disk JSON cache primitives.
 
 Both result caches in this tree — the parallel sweep harness's
-simulation-result cache (``repro.harness.parallel``) and the static
-analyzer's incremental lint cache (``repro.analysis.cache``) — follow
+simulation-result cache (``repro.harness.parallel``) and the fuzz
+campaign's per-plan verdict cache (``repro.fuzz.campaign``) — follow
 the same discipline:
 
 * entries are single JSON files named by a sha256 content key,

@@ -3,11 +3,9 @@
 from .parallel import (PointResult, ProgressEvent, RunPoint, cache_key,
                        code_version, run_points, stats_by_point)
 from .runner import RunResult, execute, run_workload
-from .sweeps import sweep_config, sweep_systems
 from .systems import PRETTY_NAMES, SYSTEM_NAMES, SimulatedSystem, build_system
 
 __all__ = ["RunResult", "execute", "run_workload",
            "RunPoint", "PointResult", "ProgressEvent",
            "run_points", "stats_by_point", "cache_key", "code_version",
-           "sweep_config", "sweep_systems",
            "PRETTY_NAMES", "SYSTEM_NAMES", "SimulatedSystem", "build_system"]

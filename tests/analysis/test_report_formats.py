@@ -1,14 +1,10 @@
-"""Output plumbing: the formatter registry (github annotations, SARIF)
-and `--explain`."""
-
-import json
-from pathlib import Path
+"""Output plumbing: the formatter registry (github annotations) and
+`--explain`."""
 
 import pytest
 
 from repro.analysis import (all_rules, lint_tool_report, render,
-                            render_github, render_rule_explain,
-                            run_analysis)
+                            render_rule_explain, run_analysis)
 from repro.cli import main
 
 
@@ -21,7 +17,7 @@ def _bad_tree(tmp_path):
 
 def test_render_github_emits_error_annotations(tmp_path):
     report = run_analysis([_bad_tree(tmp_path)])
-    out = render_github(report)
+    out = render(lint_tool_report(report), "github")
     line = next(l for l in out.splitlines() if l.startswith("::error "))
     assert "file=" in line and "line=" in line and "col=" in line
     assert "det-wallclock" in line
@@ -35,13 +31,14 @@ def test_render_github_escapes_newlines_and_percent():
 def test_github_columns_are_one_based(tmp_path):
     report = run_analysis([_bad_tree(tmp_path)])
     finding = report.findings[0]
-    line = next(l for l in render_github(report).splitlines()
+    line = next(l for l in render(lint_tool_report(report),
+                                  "github").splitlines()
                 if l.startswith("::error "))
     assert f"col={finding.col + 1}" in line
 
 
 def test_cli_format_github(tmp_path, capsys):
-    assert main(["lint", str(_bad_tree(tmp_path)), "--no-cache",
+    assert main(["lint", str(_bad_tree(tmp_path)),
                  "--format", "github"]) == 1
     out = capsys.readouterr().out
     assert "::error " in out
@@ -50,42 +47,9 @@ def test_cli_format_github(tmp_path, capsys):
 def test_cli_format_github_clean_tree(tmp_path, capsys):
     mod = tmp_path / "mod.py"
     mod.write_text("def f():\n    return 1\n")
-    assert main(["lint", str(tmp_path), "--no-cache",
+    assert main(["lint", str(tmp_path),
                  "--format", "github"]) == 0
     assert "::error" not in capsys.readouterr().out
-
-
-def test_sarif_output_shape(tmp_path):
-    report = run_analysis([_bad_tree(tmp_path)])
-    payload = json.loads(render(lint_tool_report(report), "sarif"))
-    assert payload["version"] == "2.1.0"
-    run = payload["runs"][0]
-    driver = run["tool"]["driver"]
-    assert driver["name"] == "repro-lint"
-    rule_ids = [rule["id"] for rule in driver["rules"]]
-    assert rule_ids == sorted(rule_ids)
-    assert "det-wallclock" in rule_ids
-    result = run["results"][0]
-    assert result["ruleId"] == report.findings[0].rule
-    assert rule_ids[result["ruleIndex"]] == result["ruleId"]
-    assert result["level"] == "error"
-    location = result["locations"][0]["physicalLocation"]
-    assert location["artifactLocation"]["uri"] == report.findings[0].path
-    assert location["region"]["startLine"] == report.findings[0].line
-    assert location["region"]["startColumn"] == report.findings[0].col + 1
-
-
-def test_sarif_is_deterministic(tmp_path):
-    report = run_analysis([_bad_tree(tmp_path)])
-    tool = lint_tool_report(report)
-    assert render(tool, "sarif") == render(tool, "sarif")
-
-
-def test_cli_format_sarif(tmp_path, capsys):
-    assert main(["lint", str(_bad_tree(tmp_path)), "--no-cache",
-                 "--format", "sarif"]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["runs"][0]["results"]
 
 
 def test_render_unknown_format_raises():

@@ -2,16 +2,13 @@
 CLI plumbing (exit codes, JSON, --strict, --list-rules) works."""
 
 import json
-import subprocess
 from pathlib import Path
 
 import repro
-from repro.analysis import all_rules, changed_files, run_analysis
+from repro.analysis import all_rules, run_analysis
 from repro.cli import main
 
 SRC = Path(repro.__file__).parent
-
-BAD_CLOCK = "import time\n\n\ndef stamp():\n    return time.time()\n"
 
 
 def test_shipped_tree_is_lint_clean():
@@ -37,7 +34,7 @@ def test_cli_clean_run_exits_zero(capsys):
 
 
 def test_cli_json_output(capsys):
-    assert main(["lint", str(SRC), "--json"]) == 0
+    assert main(["lint", str(SRC), "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["summary"]["errors"] == 0
     assert payload["findings"] == []
@@ -75,56 +72,9 @@ def test_parse_error_is_a_finding(tmp_path):
     assert report.exit_code() == 1
 
 
-def _git(repo, *args):
-    subprocess.run(["git", "-c", "user.email=t@t", "-c", "user.name=t",
-                    *args], cwd=repo, check=True, capture_output=True)
-
-
-def _git_repo(tmp_path):
-    """A repo with one committed bad file and one uncommitted one."""
-    core = tmp_path / "repro" / "core"
-    core.mkdir(parents=True)
-    (core / "committed_bad.py").write_text(BAD_CLOCK)
-    _git(tmp_path, "init", "-q")
-    _git(tmp_path, "add", ".")
-    _git(tmp_path, "commit", "-qm", "seed")
-    (core / "fresh_bad.py").write_text(BAD_CLOCK)
-    return tmp_path
-
-
-def test_restrict_to_limits_reporting_not_parsing(tmp_path):
-    repo = _git_repo(tmp_path)
-    fresh = repo / "repro" / "core" / "fresh_bad.py"
-    full = run_analysis([repo])
-    assert {Path(f.path).name for f in full.findings} == {
-        "committed_bad.py", "fresh_bad.py"}
-    restricted = run_analysis([repo], restrict_to=[fresh])
-    assert {Path(f.path).name for f in restricted.findings} == {
-        "fresh_bad.py"}
-    assert restricted.files_scanned == full.files_scanned
-
-
-def test_changed_files_sees_only_uncommitted_work(tmp_path, monkeypatch):
-    repo = _git_repo(tmp_path)
-    monkeypatch.chdir(repo)
-    changed = changed_files([repo])
-    assert changed is not None
-    assert [path.name for path in changed] == ["fresh_bad.py"]
-
-
-def test_cli_changed_only(tmp_path, monkeypatch, capsys):
-    repo = _git_repo(tmp_path)
-    monkeypatch.chdir(repo)
-    assert main(["lint", str(repo), "--changed-only", "--no-cache"]) == 1
-    out = capsys.readouterr().out
-    assert "fresh_bad.py" in out
-    assert "committed_bad.py" not in out
-
-
-def test_cli_changed_only_outside_git_tree(tmp_path, monkeypatch,
-                                           capsys):
-    (tmp_path / "mod.py").write_text("def f():\n    return 1\n")
-    monkeypatch.chdir(tmp_path)
-    assert main(["lint", str(tmp_path), "--changed-only",
-                 "--no-cache"]) == 2
-    assert "requires a git work tree" in capsys.readouterr().err
+def test_cli_path_without_python_files_is_usage_error(tmp_path, capsys):
+    (tmp_path / "notes.md").write_text("# not python\n")
+    assert main(["lint", str(tmp_path)]) == 2
+    assert "no Python files" in capsys.readouterr().err
+    assert main(["lint", str(tmp_path / "notes.md")]) == 2
+    assert "no Python files" in capsys.readouterr().err

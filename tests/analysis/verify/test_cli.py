@@ -7,14 +7,14 @@ from repro.cli import main
 
 
 def test_clean_run_exits_zero(capsys):
-    assert main(["verify", "--no-cache"]) == 0
+    assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert "0 error(s)" in out
     assert "5 system(s)" in out
 
 
 def test_json_output(capsys):
-    assert main(["verify", "--no-cache", "--json"]) == 0
+    assert main(["verify", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["findings"] == []
     assert payload["summary"]["systems_scanned"] == len(VERIFY_SYSTEMS)
@@ -24,18 +24,9 @@ def test_json_output(capsys):
         assert summary["crash_points"] > 0
 
 
-def test_sarif_output(capsys):
-    assert main(["verify", "--no-cache", "--format", "sarif"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["version"] == "2.1.0"
-    run = payload["runs"][0]
-    assert run["tool"]["driver"]["name"] == "repro-verify"
-    assert run["results"] == []
-
-
 def test_system_selection(capsys):
-    assert main(["verify", "--no-cache", "--system", "journal",
-                 "--system", "shadow", "--json"]) == 0
+    assert main(["verify", "--system", "journal",
+                 "--system", "shadow", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert set(payload["systems"]) == {"journal", "shadow"}
 
@@ -43,6 +34,18 @@ def test_system_selection(capsys):
 def test_unknown_system_is_usage_error(capsys):
     assert main(["verify", "--system", "nope"]) == 2
     assert "unknown system" in capsys.readouterr().err
+
+
+def test_nonpositive_epochs_is_usage_error(capsys):
+    for epochs in ("0", "-1"):
+        assert main(["verify", "--epochs", epochs]) == 2
+        assert "--epochs" in capsys.readouterr().err
+
+
+def test_repeated_system_is_verified_once(capsys):
+    assert main(["verify", "--system", "journal",
+                 "--system", "journal"]) == 0
+    assert "in 1 system(s)" in capsys.readouterr().out
 
 
 def test_list_checks(capsys):

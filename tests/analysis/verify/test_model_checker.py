@@ -68,10 +68,9 @@ def test_explored_state_edges_in_static_table(facts, explorations,
 
 
 def test_run_verify_clean():
-    report = run_verify(cache_dir=None)
+    report = run_verify()
     assert report.findings == []
     assert report.systems_scanned == len(VERIFY_SYSTEMS)
-    assert report.systems_analyzed == len(VERIFY_SYSTEMS)
     assert report.exit_code(strict=True) == 0
     for system in VERIFY_SYSTEMS:
         assert report.systems[system]["counterexamples"] == []

@@ -61,7 +61,7 @@ def test_counterexample_found_and_compiled(bug_exploration):
 
 def test_run_verify_reports_replayable_finding(tmp_path):
     root = seeded_root(tmp_path)
-    report = run_verify(root=root, cache_dir=None)
+    report = run_verify(root=root)
     assert report.exit_code() == 1
     messages = [f.message for f in report.findings
                 if f.rule == "verify-committed-overwrite"]

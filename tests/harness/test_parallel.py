@@ -1,13 +1,9 @@
 """Tests for the parallel, cached point runner (docs/HARNESS.md)."""
 
-import pytest
-
 import repro.harness.parallel as parallel
 from repro.config import small_test_config
-from repro.errors import ConfigError
 from repro.harness.parallel import (RunPoint, cache_key, code_version,
                                     run_points, stats_by_point)
-from repro.harness.sweeps import sweep_config
 from repro.stats.summary import stats_to_dict
 from repro.workloads.micro import random_trace
 from repro.workloads.tracespec import micro_spec
@@ -102,25 +98,3 @@ def test_progress_events_fire_in_declared_order():
 def test_stats_by_point_preserves_order():
     results = run_points(points())
     assert stats_by_point(results) == [r.stats for r in results]
-
-
-def test_sweep_with_spec_matches_factory():
-    spec = micro_spec("random", 64 * 1024, 300, seed=2)
-    via_spec = sweep_config("btt_entries", (64, 256), spec,
-                            base_config=CONFIG,
-                            metric=lambda stats: stats.nvm_write_blocks)
-    via_factory = sweep_config("btt_entries", (64, 256),
-                               lambda: random_trace(64 * 1024, 300, seed=2),
-                               base_config=CONFIG,
-                               metric=lambda stats: stats.nvm_write_blocks)
-    assert via_spec == via_factory
-
-
-def test_sweep_factory_cannot_fan_out():
-    factory = lambda: random_trace(64 * 1024, 100, seed=1)
-    with pytest.raises(ConfigError):
-        sweep_config("btt_entries", (64,), factory, base_config=CONFIG,
-                     jobs=2)
-    with pytest.raises(ConfigError):
-        sweep_config("btt_entries", (64,), factory, base_config=CONFIG,
-                     cache_dir=".somewhere")
