@@ -39,8 +39,8 @@ Classification table (by callee terminal name):
 ``flush_dirty``           durable write (boundary cache flush)
 ``_table_persist_jobs``   ``TABLE_PERSIST``
 ``fence_writes`` /        ``FENCE`` — the *callback* starts fenced;
-``when_writes_drained`` /   the caller's own continuation does not
-``persist_barrier``         (the drain is asynchronous)
+``persist_barrier``         the caller's own continuation does not
+                            (the drain is asynchronous)
 ``msync``                 ``FENCE`` — store-surface durability flush
                             (mmap msync; synchronous, no callback)
 ``btt.insert`` etc.       ``TABLE_MUTATE`` (structural vs bookkeeping)
@@ -107,8 +107,7 @@ _BULK_EXTENT_ARGS: Dict[str, Tuple[int, str]] = {
 # level, so always conservatively durable.
 _BULK_ADMITTERS = frozenset({"grow_bulk", "try_enqueue_bulk"})
 _TABLE_PERSISTERS = frozenset({"_table_persist_jobs"})
-_FENCES = frozenset({"fence_writes", "when_writes_drained",
-                     "persist_barrier"})
+_FENCES = frozenset({"fence_writes", "persist_barrier"})
 # Store-surface durability flushes (mmap msync): fence-like — they
 # order serviced contents into the backing medium.  Synchronous calls
 # with no callback, so they anchor the FENCE surface for the fuzz

@@ -145,10 +145,10 @@ class CursorMonotonicRule(_TypestateRule):
         "(drop_all) may rewind cursors, because there the whole run is "
         "being born or discarded.")
     example_bad = (
-        "def _service_head_block(self, request, index):\n"
+        "def _service_head_block(self, request):\n"
         "    request.serviced -= 1          # cursor moves backwards")
     example_good = (
-        "def _service_head_block(self, request, index):\n"
+        "def _service_head_block(self, request):\n"
         "    request.serviced += 1          # one block started service")
 
     def check(self, module: ModuleContext, project: "ProjectIndex",

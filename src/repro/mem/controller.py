@@ -66,8 +66,7 @@ class _DeviceState:
     """
 
     __slots__ = ("device", "store", "read_queue", "write_queue",
-                 "active", "write_inflight", "kicking", "settled",
-                 "draining", "drain_waiters", "fence_blockers",
+                 "active", "kicking", "settled", "draining", "fence_blockers",
                  "read_counts", "write_counts",
                  "record_read_latency", "record_write_latency")
 
@@ -79,10 +78,6 @@ class _DeviceState:
         self.write_queue = write_q
         # bank -> (completion event, request) for in-flight services.
         self.active: Dict[int, Tuple[Event, MemoryRequest]] = {}
-        # In-flight write accesses (block granularity), kept as a plain
-        # counter: the drain check is an integer test, and write fences
-        # recover the in-flight request set from ``active``.
-        self.write_inflight = 0
         self.kicking = False
         # True when the last full scheduling pass proved no queued block
         # is serviceable (every candidate's bank busy or chain-blocked).
@@ -90,7 +85,6 @@ class _DeviceState:
         # bank release clears it (see _kick_admit).
         self.settled = False
         self.draining = False
-        self.drain_waiters: List[Callable[[], None]] = []
         # Write fences, indexed by blocking request id: req_id -> the
         # [outstanding count, callback] cells that wait on it.  A
         # completing write touches only its own fences, not all of them.
@@ -102,10 +96,6 @@ class _DeviceState:
         self.write_counts = writes.raw_counts()
         self.record_read_latency = read_hist.record
         self.record_write_latency = write_hist.record
-
-    @property
-    def busy(self) -> bool:
-        return bool(self.active)
 
 
 class MemoryController:
@@ -311,17 +301,6 @@ class MemoryController:
         queue = state.write_queue if is_write else state.read_queue
         queue.wait_for_slot(callback)
 
-    def when_writes_drained(self, kind: DeviceKind,
-                            callback: Callable[[], None]) -> None:
-        """Invoke ``callback`` once the device's write queue is empty and
-        no write is in flight.  Prefer :meth:`fence_writes` — this form
-        never fires while demand writes keep arriving."""
-        state = self._states[kind]
-        if not state.write_queue and not state.write_inflight:
-            callback()
-            return
-        state.drain_waiters.append(callback)
-
     def fence_writes(self, kind: DeviceKind,
                      callback: Callable[[], None]) -> None:
         """Write fence (§4.4's NVM write-queue flush): ``callback`` fires
@@ -419,14 +398,12 @@ class MemoryController:
         for state in self._states.values():
             state.read_queue.drop_all()
             state.write_queue.drop_all()
-            state.drain_waiters.clear()
             state.fence_blockers.clear()
             for event, request in state.active.values():
                 event.cancel()
                 if request.total > 1:
                     request.fences.clear()
             state.active.clear()
-            state.write_inflight = 0
             state.settled = False
             state.device.reset_row_buffers()
             if not state.device.persistent:
@@ -504,8 +481,6 @@ class MemoryController:
             event = self.engine.schedule(
                 latency, self._complete_bulk, state, request, bank,
                 addr, request.service_index)
-        if request.is_write:
-            state.write_inflight += 1
         state.active[bank] = (event, request)
 
     def _select(self, state: _DeviceState) -> Optional[MemoryRequest]:
@@ -548,7 +523,6 @@ class MemoryController:
         latency = (self.engine.now - request.issue_time
                    if request.issue_time is not None else None)
         if request.is_write:
-            state.write_inflight -= 1
             state.store.write(request.addr, request.data)
             state.write_counts[request.origin_key] += 1
             if latency is not None:
@@ -576,11 +550,6 @@ class MemoryController:
                 fence[0] -= 1
                 if fence[0] == 0:
                     fence[1]()
-        if (state.drain_waiters and not state.write_queue
-                and not state.write_inflight):
-            waiters, state.drain_waiters = state.drain_waiters, []
-            for waiter in waiters:
-                waiter()
         self._kick(state)
 
     def _complete_bulk(self, state: _DeviceState, request: MemoryRequest,
@@ -594,7 +563,6 @@ class MemoryController:
         latency = now - request.admit_times[index]
         payload = None
         if request.is_write:
-            state.write_inflight -= 1
             if request.block_data is not None:
                 state.store.write(addr, request.block_data[index])
             state.write_counts[request.origin_key] += 1
@@ -637,9 +605,4 @@ class MemoryController:
         callback = request.callback
         if callback is not None:
             callback(request, index, payload)
-        if (state.drain_waiters and not state.write_queue
-                and not state.write_inflight):
-            waiters, state.drain_waiters = state.drain_waiters, []
-            for waiter in waiters:
-                waiter()
         self._kick(state)

@@ -6,18 +6,27 @@ one of them.  Producers that find the queue full register a waiter
 callback and are re-tried in FIFO order as slots free up — this is how
 checkpointing traffic exerts backpressure on the CPU (and vice versa).
 
+Entries are kept **per bank**, each bank's list ordered by age: every
+entry is stamped (``MemoryRequest.age``) when it enters the queue, so
+the stamps order the entries exactly as one global FIFO would.  The
+FR-FCFS pick (`pop_ready`) then visits only the banks that are free,
+and compares candidates from different banks by (key, age) — the same
+pick a scan of the whole FIFO makes (docs/PERFORMANCE.md,
+"Bank-indexed queue").
+
 Capacity is counted in *blocks*.  Most queued entries are single-block
 requests; a **bulk run** (``MemoryRequest.bulk``) is one entry that
 occupies one slot per admitted-but-unserviced block.  Runs keep the
-exact semantics of the per-block representation they replace
-(docs/PERFORMANCE.md):
+exact semantics of the per-block representation they replace:
 
 * a run's blocks are admitted in order and only ever appended at the
   queue *tail* (`try_enqueue_bulk` on first admission, `grow_bulk`
-  afterwards) — `grow_bulk` refuses when the run is not the tail entry,
-  and the caller admits that block as an ordinary single request
-  instead, so every block lands at exactly the FIFO position it would
-  have occupied as an individual request;
+  afterwards) — `grow_bulk` refuses when the run is not the youngest
+  queued entry, and the caller admits that block as an ordinary single
+  request instead, so every block lands at exactly the FIFO position
+  it would have occupied as an individual request;
+* a run that drains and re-enters is stamped afresh: it re-enters as
+  the youngest entry, as its next block would have;
 * every admitted block is registered in the per-address index, so
   same-address ordering and read-after-write forwarding see bulk
   blocks exactly like singles;
@@ -29,43 +38,45 @@ exact semantics of the per-block representation they replace
 * a block's slot frees (waking one waiter) when its service starts,
   just as popping an individual request did.
 
-The queue keeps a per-address index (address → FIFO chain of queued
-entries) alongside the FIFO deque, so the scheduler's same-address
-ordering check and the controller's read-after-write forwarding are
-O(1)/O(chain) lookups instead of full-queue scans.
+The per-address index (address → chain of queued entries, oldest
+first) makes the scheduler's same-address ordering check and the
+controller's read-after-write forwarding O(1)/O(chain) lookups instead
+of full-queue scans.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Optional
+from operator import attrgetter
+from typing import Callable, Deque, Dict, List, Optional
 
 from ..errors import SimulationError
 from .request import MemoryRequest
 
 
 class BoundedQueue:
-    """FIFO of :class:`MemoryRequest` entries with a block capacity."""
+    """Age-ordered :class:`MemoryRequest` entries, indexed by bank, with
+    a block capacity."""
 
     def __init__(self, name: str, capacity: int) -> None:
         if capacity <= 0:
             raise SimulationError(f"queue {name!r} needs positive capacity")
         self.name = name
         self.capacity = capacity
-        self._items: Deque[MemoryRequest] = deque()
+        # bank -> that bank's queued entries, oldest first; banks with
+        # no queued entry have no key, so a scheduling pass visits only
+        # banks that hold work.
+        self._banks: Dict[int, List[MemoryRequest]] = {}
         # addr -> same-address entries, oldest first.  An entry is
         # eligible for (re)scheduling only while it heads the chain of
         # its next unserviced block's address.
         self._by_addr: Dict[int, Deque[MemoryRequest]] = {}
         self._waiters: Deque[Callable[[], None]] = deque()
         self._size = 0            # occupied slots, in blocks
-        # Entries (not blocks) carrying demand traffic.  When the queue
-        # is single-class — all demand or all background — priority
-        # cannot discriminate and pop_ready's scan may stop at the first
-        # ready row-hit instead of walking the whole FIFO.
-        self._demand_entries = 0
-        self.max_occupancy = 0
-        self.total_enqueued = 0
+        self._age = 0             # the last age stamp handed out
+        # The youngest queued entry; None once it has left, until
+        # grow_bulk next needs it.
+        self._tail: Optional[MemoryRequest] = None
 
     # --- producer side ---------------------------------------------------
 
@@ -73,22 +84,35 @@ class BoundedQueue:
     def full(self) -> bool:
         return self._size >= self.capacity
 
+    def _append(self, request: MemoryRequest) -> None:
+        """Queue ``request`` as the youngest entry."""
+        age = self._age + 1
+        self._age = age
+        request.age = age
+        entries = self._banks.get(request.bank)
+        if entries is None:
+            self._banks[request.bank] = entries = []
+        entries.append(request)
+        self._tail = request
+
     def try_enqueue(self, request: MemoryRequest) -> bool:
         """Append a single-block ``request`` if a slot is free."""
         if self._size >= self.capacity:
             return False
-        self._items.append(request)
-        if request.demand:
-            self._demand_entries += 1
+        # Inlined from _append: this runs once per single request.
+        age = self._age + 1
+        self._age = age
+        request.age = age
+        entries = self._banks.get(request.bank)
+        if entries is None:
+            self._banks[request.bank] = entries = []
+        entries.append(request)
+        self._tail = request
         chain = self._by_addr.get(request.addr)
         if chain is None:
             self._by_addr[request.addr] = chain = deque()
         chain.append(request)
-        size = self._size + 1
-        self._size = size
-        self.total_enqueued += 1
-        if size > self.max_occupancy:
-            self.max_occupancy = size
+        self._size += 1
         return True
 
     def try_enqueue_bulk(self, request: MemoryRequest) -> int:
@@ -106,32 +130,35 @@ class BoundedQueue:
         count = min(free, request.total - request.issued)
         self._admit_blocks(request, count)
         if not request.in_queue:
-            self._items.append(request)
+            self._append(request)
             request.in_queue = True
-            if request.demand:
-                self._demand_entries += 1
         return count
 
     def grow_bulk(self, request: MemoryRequest) -> bool:
         """Admit one more block of ``request`` at its exact FIFO slot.
 
         Only legal when that slot is the queue tail: the run is the
-        tail entry, or the run is not queued at all (fully serviced or
-        never admitted) and re-enters as a fresh tail entry.  Returns
-        False when the queue is full or another entry holds the tail —
-        the caller then admits the block as an ordinary single request,
-        which preserves exact per-block FIFO order.
+        youngest queued entry, or the run is not queued at all (fully
+        serviced or never admitted) and re-enters as a fresh tail
+        entry.  Returns False when the queue is full or a younger entry
+        is queued — the caller then admits the block as an ordinary
+        single request, which preserves exact per-block FIFO order.
         """
         if self._size >= self.capacity:
             return False
         if request.in_queue:
-            if self._items[-1] is not request:
+            tail = self._tail
+            if tail is None:
+                # The youngest entry left: the new one is the youngest
+                # of the banks' last (youngest) entries.
+                tail = max((entries[-1] for entries in self._banks.values()),
+                           key=attrgetter("age"))
+                self._tail = tail
+            if tail is not request:
                 return False
         else:
-            self._items.append(request)
+            self._append(request)
             request.in_queue = True
-            if request.demand:
-                self._demand_entries += 1
         # Single-block admission, inlined from _admit_blocks: this runs
         # once per grown block on the hot path.
         index = request.issued
@@ -145,11 +172,7 @@ class BoundedQueue:
         request.issued = index + 1
         request.queued += 1
         request.head_addr = pending[0][0]
-        size = self._size + 1
-        self._size = size
-        self.total_enqueued += 1
-        if size > self.max_occupancy:
-            self.max_occupancy = size
+        self._size += 1
         return True
 
     def _admit_blocks(self, request: MemoryRequest, count: int) -> None:
@@ -169,11 +192,7 @@ class BoundedQueue:
         request.issued = index
         request.queued += count
         request.head_addr = pending[0][0]
-        size = self._size + count
-        self._size = size
-        self.total_enqueued += count
-        if size > self.max_occupancy:
-            self.max_occupancy = size
+        self._size += count
 
     def wait_for_slot(self, callback: Callable[[], None]) -> None:
         """Call ``callback`` once, the next time a slot frees up."""
@@ -187,14 +206,13 @@ class BoundedQueue:
     def __bool__(self) -> bool:
         return self._size > 0
 
-    def peek(self) -> Optional[MemoryRequest]:
-        return self._items[0] if self._items else None
-
     def items(self):
-        """Iterate queued *entries* oldest-first (a bulk run appears
+        """Iterate queued *entries*, bank by bank (a bulk run appears
         once; its occupied slots are ``entry.queued``).  Write fences
-        snapshot their outstanding set from this."""
-        return iter(self._items)
+        snapshot their outstanding set from this; they register per
+        entry, so the order does not matter."""
+        for entries in self._banks.values():
+            yield from entries
 
     def youngest_payload(self, addr: int) -> Optional[bytes]:
         """Data of the youngest queued same-address request carrying a
@@ -227,18 +245,16 @@ class BoundedQueue:
         if not chain:
             del self._by_addr[addr]
 
-    def _service_head_block(self, request: MemoryRequest, index: int) -> None:
-        """Start-of-service bookkeeping for the entry at ``_items`` position
-        ``index``: free the block's slot, advance run cursors, record the
-        serviced block in ``service_addr``/``service_index``."""
+    def _service_head_block(self, request: MemoryRequest) -> None:
+        """Start-of-service bookkeeping for the queued entry ``request``:
+        free the block's slot, advance run cursors, record the serviced
+        block in ``service_addr``/``service_index``, and take the entry
+        out of its bank's list once no block of it is left queued."""
         addr = request.head_addr
         self._unindex(request, addr)
         self._size -= 1
-        if request.total == 1:
-            del self._items[index]
-            if request.demand:
-                self._demand_entries -= 1
-        else:
+        drained = True
+        if request.total > 1:
             block_addr, block_index = request.pending.popleft()
             if block_addr != addr:
                 raise SimulationError(
@@ -249,26 +265,21 @@ class BoundedQueue:
             request.serviced += 1
             queued = request.queued - 1
             request.queued = queued
-            if queued == 0:
-                del self._items[index]
-                request.in_queue = False
-                if request.demand:
-                    self._demand_entries -= 1
-            else:
+            if queued:
                 request.head_addr = request.pending[0][0]
+                drained = False
+            else:
+                request.in_queue = False
+        if drained:
+            entries = self._banks[request.bank]
+            entries.remove(request)
+            if not entries:
+                del self._banks[request.bank]
+            if request is self._tail:
+                self._tail = None
         waiters = self._waiters
         if waiters:
             waiters.popleft()()
-
-    def pop(self) -> MemoryRequest:
-        """Start service on the head entry's oldest block; wakes one
-        waiter.  Returns the entry (for a bulk run, ``service_addr`` /
-        ``service_index`` say which block)."""
-        if not self._items:
-            raise SimulationError(f"pop from empty queue {self.name!r}")
-        request = self._items[0]
-        self._service_head_block(request, 0)
-        return request
 
     def pop_ready(
         self,
@@ -295,36 +306,36 @@ class BoundedQueue:
         is its oldest unserviced block; its younger siblings share the
         same (bank, row, demand) and can never beat it, exactly as in
         the per-block representation.
+
+        Only free banks are visited.  Within a bank the entries are
+        oldest first, so the first eligible key-0 entry ends that
+        bank's walk; across banks the lowest (key, age) wins, which is
+        the pick a scan of one global FIFO makes.
         """
-        best_index = -1
-        best_request = None
+        best = None
         best_key = 4                 # above the worst key (2*d + p <= 3)
+        best_age = 0
+        background = 2 if demand_priority else 0
         by_addr = self._by_addr
-        if demand_priority:
-            # Single-class queue: priority cannot discriminate, so the
-            # scan may stop at the first ready row-hit.  The pick is
-            # unchanged — with uniform demand component every key
-            # differs only in its row-hit bit, and the reference scan
-            # also returns the first ready row-hit (or the oldest ready
-            # entry when there is none).
-            demand = self._demand_entries
-            if demand == 0 or demand == len(self._items):
-                demand_priority = False
-        for index, request in enumerate(self._items):
-            bank = request.bank
-            if bank in busy_banks or by_addr[request.head_addr][0] is not request:
+        for bank, entries in self._banks.items():
+            if bank in busy_banks:
                 continue
-            key = 0 if (demand_priority is False or request.demand) else 2
-            if open_rows[bank] != request.row:
-                key += 1
-            if key < best_key:
-                best_key, best_index, best_request = key, index, request
+            open_row = open_rows[bank]
+            for request in entries:
+                if by_addr[request.head_addr][0] is not request:
+                    continue
+                key = 0 if request.demand else background
+                if open_row != request.row:
+                    key += 1
+                if key < best_key or (key == best_key
+                                      and request.age < best_age):
+                    best, best_key, best_age = request, key, request.age
                 if key == 0:
-                    break            # oldest demand row-hit; cannot improve
-        if best_index < 0:
+                    break            # nothing younger in this bank beats it
+        if best is None:
             return None
-        self._service_head_block(best_request, best_index)
-        return best_request
+        self._service_head_block(best)
+        return best
 
     def drop_all(self) -> int:
         """Discard everything (crash model: in-flight writes are lost).
@@ -333,19 +344,14 @@ class BoundedQueue:
         Returns the number of dropped blocks.
         """
         count = self._size
-        for request in self._items:
+        for request in self.items():
             if request.total > 1:
                 request.in_queue = False
                 request.queued = 0
                 request.pending.clear()
-        self._items.clear()
+        self._banks.clear()
         self._by_addr.clear()
         self._waiters.clear()
         self._size = 0
-        self._demand_entries = 0
+        self._tail = None
         return count
-
-    def _wake_one(self) -> None:
-        if self._waiters:
-            waiter = self._waiters.popleft()
-            waiter()

@@ -66,13 +66,14 @@ class MemoryRequest:
     ``demand``/``origin_key`` denormalize the origin the same way.
     ``head_addr`` is the address the queue's same-address ordering check
     keys on: the request's address for singles, the oldest unserviced
-    block for bulks.
+    block for bulks.  ``age`` is the stamp the queue gave the entry when
+    it (re-)entered; FR-FCFS breaks ties by it.
     """
 
     __slots__ = (
         "req_id", "addr", "is_write", "origin", "data",
         "issue_time", "complete_time", "callback",
-        "bank", "row", "demand", "origin_key", "head_addr",
+        "bank", "row", "demand", "origin_key", "head_addr", "age",
         # Bulk-run state (present only when total > 1):
         "total", "stride", "issued", "queued", "serviced", "completed",
         "in_queue", "pending", "block_data", "admit_times", "fences",

@@ -1,8 +1,5 @@
 """Unit tests for the bounded request queues."""
 
-import pytest
-
-from repro.errors import SimulationError
 from repro.sim.queueing import BoundedQueue
 from repro.sim.request import MemoryRequest, Origin
 
@@ -22,32 +19,30 @@ def test_enqueue_until_full():
     assert queue.try_enqueue(req(64))
     assert queue.full
     assert not queue.try_enqueue(req(128))
-    assert queue.total_enqueued == 2
-    assert queue.max_occupancy == 2
+    assert len(queue) == 2
 
 
-def test_pop_is_fifo():
+def test_pop_ready_is_fifo_within_bank():
     queue = BoundedQueue("q", 4)
     first, second = req(0), req(64)
     queue.try_enqueue(first)
     queue.try_enqueue(second)
-    assert queue.pop() is first
-    assert queue.pop() is second
+    assert queue.pop_ready(set(), [None]) is first
+    assert queue.pop_ready(set(), [None]) is second
 
 
-def test_pop_empty_raises():
+def test_pop_ready_empty_returns_none():
     queue = BoundedQueue("q", 4)
-    with pytest.raises(SimulationError):
-        queue.pop()
+    assert queue.pop_ready(set(), [None]) is None
 
 
-def test_waiter_woken_on_pop():
+def test_waiter_woken_on_pop_ready():
     queue = BoundedQueue("q", 1)
     queue.try_enqueue(req(0))
     woken = []
     queue.wait_for_slot(lambda: woken.append(1))
     assert not woken
-    queue.pop()
+    queue.pop_ready(set(), [None])
     assert woken == [1]
 
 
@@ -123,3 +118,21 @@ def test_drop_all_clears_items_and_waiters():
     assert dropped == 1
     assert not queue
     assert not woken, "crash must not wake producers"
+
+
+def test_grow_bulk_extends_the_youngest_queued_entry_only():
+    queue = BoundedQueue("q", 8)
+    run = MemoryRequest.bulk(0, True, Origin.CHECKPOINT, 4, 64)
+    run.bank, run.row = 0, 0
+    assert queue.grow_bulk(run)           # enters as the tail entry
+    single = req(4096, bank=1)
+    assert queue.try_enqueue(single)
+    # A younger single is queued: extending the run would jump it.
+    assert not queue.grow_bulk(run)
+    assert queue.pop_ready({0}, [None, None]) is single
+    # The single left, so the run is the youngest entry again and
+    # extends in place (a rule keyed on the last age stamped, which
+    # is the single's, would refuse here).
+    assert queue.grow_bulk(run)
+    assert run.queued == 2 and run.issued == 2
+    assert list(queue.items()) == [run]
