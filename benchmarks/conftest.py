@@ -9,13 +9,10 @@ Scale knob: set ``REPRO_BENCH_SCALE`` (default 1.0) to grow or shrink
 every trace proportionally, e.g. ``REPRO_BENCH_SCALE=3 pytest
 benchmarks/ --benchmark-only`` for a longer, less noisy run.
 
-Parallel/cached execution (docs/HARNESS.md): every fixture drives its
-runs through ``repro.harness.parallel``, so
-
-* ``REPRO_BENCH_JOBS=N`` fans the sweeps over N worker processes
-  (default 1 — the serial path; results are identical either way), and
-* ``REPRO_BENCH_CACHE=<dir>`` reuses finished points from an on-disk
-  cache (keyed by workload, config and code version; unset = off).
+Parallel execution (docs/HARNESS.md): every fixture drives its runs
+through ``repro.harness.parallel``, so ``REPRO_BENCH_JOBS=N`` fans the
+sweeps over N worker processes (default 1 — the serial path; results
+are identical either way).
 """
 
 from __future__ import annotations
@@ -28,43 +25,36 @@ from repro.harness import experiments
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
-CACHE_DIR = os.environ.get("REPRO_BENCH_CACHE") or None
 
 
 def scaled(n: int) -> int:
     return max(200, int(n * SCALE))
 
 
-def _harness_kwargs() -> dict:
-    return {"jobs": JOBS, "cache_dir": CACHE_DIR}
-
-
 @pytest.fixture(scope="session")
 def micro_results():
     """Micro-benchmark runs shared by the Fig. 7 and Fig. 8 benches."""
-    return experiments.run_micro(num_ops=scaled(12000), **_harness_kwargs())
+    return experiments.run_micro(num_ops=scaled(12000), jobs=JOBS)
 
 
 @pytest.fixture(scope="session")
 def kv_hashtable_results():
     return experiments.run_kvstore("hashtable", num_ops=scaled(1200),
-                                   **_harness_kwargs())
+                                   jobs=JOBS)
 
 
 @pytest.fixture(scope="session")
 def kv_rbtree_results():
     return experiments.run_kvstore("rbtree", num_ops=scaled(1200),
-                                   **_harness_kwargs())
+                                   jobs=JOBS)
 
 
 @pytest.fixture(scope="session")
 def spec_results():
-    return experiments.run_spec(num_mem_ops=scaled(10000),
-                                **_harness_kwargs())
+    return experiments.run_spec(num_mem_ops=scaled(10000), jobs=JOBS)
 
 
 @pytest.fixture(scope="session")
 def tradeoff_results():
     """Uniform-granularity ablation runs (Table 1 and the §1 claims)."""
-    return experiments.table1_tradeoff(num_ops=scaled(8000),
-                                       **_harness_kwargs())
+    return experiments.table1_tradeoff(num_ops=scaled(8000), jobs=JOBS)

@@ -133,13 +133,6 @@ class ProtocolFacts:
     bulk_inorder_anchor: Optional[Anchor] = None
 
 
-def _relpath(path: Path, root: Path) -> str:
-    try:
-        return path.relative_to(root).as_posix()
-    except ValueError:
-        return path.as_posix()
-
-
 def _warning(facts: ProtocolFacts, path: str, line: int,
              message: str) -> None:
     facts.warnings.append(Finding(

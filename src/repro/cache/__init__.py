@@ -7,6 +7,5 @@ memory system directly below this layer.
 
 from .cache import Cache
 from .hierarchy import CacheHierarchy
-from .replacement import LRUPolicy
 
-__all__ = ["Cache", "CacheHierarchy", "LRUPolicy"]
+__all__ = ["Cache", "CacheHierarchy"]

@@ -1,7 +1,9 @@
 """One level of set-associative, writeback cache.
 
-Tracks (tag, dirty) per set with a pluggable replacement policy.
-Payloads are not stored — see the package docstring.  The interesting
+Tracks (tag, dirty) per set in LRU order: each set is an
+``OrderedDict`` with the least-recently-used tag first, so a touch is
+``move_to_end`` and the eviction victim is the first entry.  Payloads
+are not stored — see the package docstring.  The interesting
 operation for ThyNVM is :meth:`clean_dirty_blocks`, which implements
 CLWB-style "writeback without invalidate" used by the epoch-boundary
 flush (§4.4): dirty blocks are returned for writeback and marked clean,
@@ -14,16 +16,14 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from ..config import CacheConfig
-from .replacement import LRUPolicy
 
 
 class Cache:
     """A single cache level."""
 
-    def __init__(self, name: str, config: CacheConfig, policy=None) -> None:
+    def __init__(self, name: str, config: CacheConfig) -> None:
         self.name = name
         self.config = config
-        self.policy = policy if policy is not None else LRUPolicy()
         self._num_sets = config.num_sets
         self._block_shift = config.block_bytes.bit_length() - 1
         # set index -> OrderedDict[tag, dirty]
@@ -55,7 +55,7 @@ class Cache:
             self.misses += 1
             return False
         if touch:
-            self.policy.touch(entries, tag)
+            entries.move_to_end(tag)
         self.hits += 1
         return True
 
@@ -69,7 +69,7 @@ class Cache:
                 self._set_dirty[set_index] = \
                     self._set_dirty.get(set_index, 0) + 1
             entries[tag] = True
-            self.policy.touch(entries, tag)
+            entries.move_to_end(tag)
 
     def insert(self, block_addr: int, dirty: bool) -> Optional[Tuple[int, bool]]:
         """Fill a block.  Returns the evicted ``(block_addr, dirty)``, if any.
@@ -84,11 +84,11 @@ class Cache:
                 self._set_dirty[set_index] = \
                     self._set_dirty.get(set_index, 0) + 1
             entries[tag] = entries[tag] or dirty
-            self.policy.touch(entries, tag)
+            entries.move_to_end(tag)
             return None
         victim = None
         if len(entries) >= self.config.ways:
-            victim_tag, victim_dirty = self.policy.victim(entries)
+            victim_tag, victim_dirty = entries.popitem(last=False)
             if victim_dirty:
                 self.dirty_count -= 1
                 self._set_dirty[set_index] -= 1

@@ -2,8 +2,7 @@
 
     repro run --system thynvm --workload random --ops 8000
     repro run --system journal --workload kv-hash --request-size 256
-    repro figures fig7 fig12
-    repro bench fig7 --jobs 4 --json
+    repro bench fig7 fig12 --jobs 4 --json
     repro perf --quick
     repro trace record --workload sliding --ops 2000 -o sliding.trace
     repro trace run --system thynvm sliding.trace
@@ -110,8 +109,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_figures(wanted, ops, jobs=1, cache_dir=None, progress=None,
-                 emit=print):
+def _run_figures(wanted, ops, jobs=1, progress=None, emit=print):
     """Run the requested figures; return the figure-keyed report dict.
 
     ``emit`` receives the human-readable tables; pass a no-op to build
@@ -128,7 +126,7 @@ def _run_figures(wanted, ops, jobs=1, cache_dir=None, progress=None,
 
     if {"fig7", "fig8"} & set(wanted):
         micro = experiments.run_micro(num_ops=ops or 12000, jobs=jobs,
-                                      cache_dir=cache_dir, progress=progress)
+                                      progress=progress)
         if "fig7" in wanted:
             series = experiments.fig7_exec_time(micro)
             report["fig7"] = {"series": series,
@@ -149,8 +147,7 @@ def _run_figures(wanted, ops, jobs=1, cache_dir=None, progress=None,
     if {"fig9", "fig10"} & set(wanted):
         for structure in ("hashtable", "rbtree"):
             kv = experiments.run_kvstore(structure, num_ops=ops or 1200,
-                                         jobs=jobs, cache_dir=cache_dir,
-                                         progress=progress)
+                                         jobs=jobs, progress=progress)
             if "fig9" in wanted:
                 series = experiments.fig9_throughput(kv)
                 report.setdefault("fig9", {})[structure] = {
@@ -163,7 +160,7 @@ def _run_figures(wanted, ops, jobs=1, cache_dir=None, progress=None,
                 _print_series(f"Figure 10 ({structure}, MB/s)", series, emit)
     if "fig11" in wanted:
         spec = experiments.run_spec(num_mem_ops=ops or 10000, jobs=jobs,
-                                    cache_dir=cache_dir, progress=progress)
+                                    progress=progress)
         series = experiments.fig11_normalized_ipc(spec)
         report["fig11"] = {"series": series,
                            "points": point_summaries(spec)}
@@ -171,7 +168,6 @@ def _run_figures(wanted, ops, jobs=1, cache_dir=None, progress=None,
     if "fig12" in wanted:
         series = experiments.fig12_btt_sensitivity(num_ops=ops or 1500,
                                                    jobs=jobs,
-                                                   cache_dir=cache_dir,
                                                    progress=progress)
         report["fig12"] = {"series": series}
         rows = [[size] + [round(v, 2) for v in cells.values()]
@@ -182,7 +178,6 @@ def _run_figures(wanted, ops, jobs=1, cache_dir=None, progress=None,
         emit()
     if "table1" in wanted:
         results = experiments.table1_tradeoff(num_ops=ops or 8000, jobs=jobs,
-                                              cache_dir=cache_dir,
                                               progress=progress)
         report["table1"] = {"series": results}
         rows = [[system] + [cells[k] for k in
@@ -204,14 +199,8 @@ def _check_figures(figures) -> list:
     return wanted
 
 
-def cmd_figures(args: argparse.Namespace) -> int:
-    """`repro figures`: regenerate the requested paper figures."""
-    _run_figures(_check_figures(args.figures), args.ops)
-    return 0
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
-    """`repro bench`: figure sweeps through the parallel, cached harness.
+    """`repro bench`: regenerate paper figures via the parallel harness.
 
     Deterministic results go to stdout (tables, or ``--json``);
     progress and timing observability go to stderr, so two runs with
@@ -219,29 +208,26 @@ def cmd_bench(args: argparse.Namespace) -> int:
     """
     import time as _time
 
-    from .harness.parallel import DEFAULT_CACHE_DIR
-
     wanted = _check_figures(args.figures)
-    cache_dir = None if args.no_cache else (args.cache_dir
-                                            or DEFAULT_CACHE_DIR)
-    counts = {"points": 0, "hits": 0}
+    if args.ops is not None and args.ops < 1:
+        print(f"bench: --ops must be at least 1 (got {args.ops})",
+              file=sys.stderr)
+        return 2
+    points = 0
 
     def progress(event) -> None:
-        counts["points"] += 1
-        counts["hits"] += 1 if event.cached else 0
-        status = ("cache hit" if event.cached
-                  else f"{event.wall_seconds:6.2f}s")
+        nonlocal points
+        points += 1
         print(f"[{event.index + 1:3d}/{event.total:3d}] "
-              f"{event.point.describe():44s} {status}", file=sys.stderr)
+              f"{event.point.describe():44s} {event.wall_seconds:6.2f}s",
+              file=sys.stderr)
 
     emit = (lambda *parts: None) if args.json else print
     started = _time.perf_counter()
     report = _run_figures(wanted, args.ops, jobs=args.jobs,
-                          cache_dir=cache_dir, progress=progress, emit=emit)
+                          progress=progress, emit=emit)
     elapsed = _time.perf_counter() - started
-    print(f"bench: {counts['points']} points, {counts['hits']} cache hits, "
-          f"{elapsed:.2f}s wall (jobs={args.jobs}, "
-          f"cache={'off' if cache_dir is None else cache_dir})",
+    print(f"bench: {points} points, {elapsed:.2f}s wall (jobs={args.jobs})",
           file=sys.stderr)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -371,7 +357,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     from .fuzz import parse_plan, run_plan
     from .fuzz.campaign import (CampaignOptions, campaign_failed,
                                 run_campaign)
-    from .harness.parallel import DEFAULT_CACHE_DIR
 
     if args.fuzz_command == "replay":
         result = run_plan(parse_plan(args.plan))
@@ -387,11 +372,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
                          indent=2, sort_keys=True))
         return 0
 
-    cache_dir = None if args.no_cache else (args.cache_dir
-                                            or DEFAULT_CACHE_DIR)
     options = CampaignOptions(
-        quick=args.quick, jobs=args.jobs, cache_dir=cache_dir,
-        corpus_dir=args.corpus_dir,
+        quick=args.quick, jobs=args.jobs, corpus_dir=args.corpus_dir,
         minimize_failures=not args.no_minimize)
     if args.systems:
         options.systems = tuple(args.systems.split(","))
@@ -400,8 +382,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
     started = _time.perf_counter()
 
-    def progress(stage: str, done: int, total: int, label: str,
-                 cached: bool) -> None:
+    def progress(stage: str, done: int, total: int, label: str) -> None:
         elapsed = _time.perf_counter() - started
         eta = elapsed / done * (total - done) if done else 0.0
         print(f"[{stage} {done:4d}/{total:4d}] {label:56s} "
@@ -524,16 +505,9 @@ def make_parser() -> argparse.ArgumentParser:
     _add_config_args(run_parser)
     run_parser.set_defaults(func=cmd_run)
 
-    figures_parser = sub.add_parser(
-        "figures", help="regenerate paper figures (see benchmarks/ too)")
-    figures_parser.add_argument("figures", nargs="*",
-                                help=f"subset of {FIGURES}; default all")
-    figures_parser.add_argument("--ops", type=int, default=None)
-    figures_parser.set_defaults(func=cmd_figures)
-
     bench_parser = sub.add_parser(
-        "bench", help="figure sweeps via the parallel, cached harness "
-                      "(docs/HARNESS.md)")
+        "bench", help="regenerate paper figures via the parallel harness "
+                      "(docs/HARNESS.md; see benchmarks/ too)")
     bench_parser.add_argument("figures", nargs="*",
                               help=f"subset of {FIGURES}; default all")
     bench_parser.add_argument("--ops", type=int, default=None)
@@ -542,11 +516,6 @@ def make_parser() -> argparse.ArgumentParser:
                                    "0 = one per CPU)")
     bench_parser.add_argument("--json", action="store_true",
                               help="machine-readable report on stdout")
-    bench_parser.add_argument("--cache-dir", default=None,
-                              help="result cache directory "
-                                   "(default .repro-cache)")
-    bench_parser.add_argument("--no-cache", action="store_true",
-                              help="disable the on-disk result cache")
     bench_parser.set_defaults(func=cmd_bench)
 
     perf_parser = sub.add_parser(
@@ -655,11 +624,6 @@ def make_parser() -> argparse.ArgumentParser:
     fuzz_parser.add_argument("--workloads", default=None,
                              help="comma-separated subset of the fuzz "
                                   "workloads (default: all)")
-    fuzz_parser.add_argument("--cache-dir", default=None,
-                             help="result cache directory "
-                                  "(default .repro-cache)")
-    fuzz_parser.add_argument("--no-cache", action="store_true",
-                             help="disable the on-disk result cache")
     fuzz_parser.add_argument("--corpus-dir", default="fuzz-corpus",
                              help="minimized-reproducer archive "
                                   "(default fuzz-corpus)")

@@ -1182,10 +1182,6 @@ class ThyNVMController(EpochController):
     # Functional introspection (tests, examples)
     # ------------------------------------------------------------------
 
-    def software_view(self, num_blocks: int) -> Dict[int, bytes]:
-        """Functional image of the first ``num_blocks`` physical blocks."""
-        return {b: self.visible_block_bytes(b) for b in range(num_blocks)}
-
     def validate(self) -> None:
         """Check cross-structure invariants (tests call this liberally).
 

@@ -13,8 +13,8 @@ pieces, in pipeline order:
   driven directly into a controller (no CPU model in the loop).
 * :mod:`~repro.fuzz.runner` — executes one plan: drive, crash at the
   armed site, recover, check the committed-prefix oracle.
-* :mod:`~repro.fuzz.campaign` — fans plans over worker processes with
-  disk-cache dedup, replaying the archived corpus first.
+* :mod:`~repro.fuzz.campaign` — fans plans over worker processes,
+  replaying the archived corpus first.
 * :mod:`~repro.fuzz.minimize` — shrinks a failing plan to a minimal
   reproducer.
 * :mod:`~repro.fuzz.corpus` — the ``fuzz-corpus/`` archive of minimized

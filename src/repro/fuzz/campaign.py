@@ -8,8 +8,8 @@ A campaign is four deterministic stages:
    each probe site fires: the concrete plan space.
 3. **Enumeration + execution** — plans are generated per site kind ×
    occurrence spread × jitter and fanned out over worker processes
-   (:func:`repro.harness.parallel.fan_out`), deduplicated by the
-   ``.repro-cache/`` disk cache keyed on (code, config, plan).
+   (:func:`repro.harness.parallel.fan_out`); every run simulates every
+   plan.
 4. **Minimization + archive** — failures shrink to minimal reproducers
    and land in the corpus with their replay command.
 
@@ -25,15 +25,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, cast
 
-from .. import diskcache
-from ..harness.parallel import DEFAULT_CACHE_DIR, code_version, fan_out
-from .corpus import DEFAULT_CORPUS_DIR, archive, load_corpus
+from ..harness.parallel import fan_out
+from .corpus import DEFAULT_CORPUS_DIR, archive, code_version, load_corpus
 from .minimize import minimize
 from .plan import FUZZ_SYSTEMS, CrashPlan, parse_plan
-from .runner import fuzz_config, run_plan
+from .runner import run_plan
 from .workloads import WORKLOAD_NAMES
-
-_CACHE_FORMAT = 1
 
 
 @dataclass(frozen=True)
@@ -57,8 +54,8 @@ _MODES = {
 #: A census plan arms an occurrence that can never fire.
 _CENSUS_OCCURRENCE = 10 ** 9
 
-ProgressFn = Callable[[str, int, int, str, bool], None]
-# stage, index (1-based), total, label, cached
+ProgressFn = Callable[[str, int, int, str], None]
+# stage, index (1-based), total, label
 
 
 @dataclass
@@ -67,7 +64,6 @@ class CampaignOptions:
     systems: Sequence[str] = FUZZ_SYSTEMS
     workloads: Sequence[str] = WORKLOAD_NAMES
     jobs: int = 1
-    cache_dir: Optional[str] = DEFAULT_CACHE_DIR
     corpus_dir: str = DEFAULT_CORPUS_DIR
     minimize_failures: bool = True
     max_minimized: int = 5          # failures minimized+archived per run
@@ -78,66 +74,35 @@ class CampaignOptions:
         return _MODES["quick" if self.quick else "full"]
 
 
-# --- cached plan execution ------------------------------------------------
+# --- plan execution -------------------------------------------------------
 
 def _worker(plan_string: str) -> Dict[str, object]:
     """Process-pool worker: one plan, one result dict (picklable)."""
     return run_plan(parse_plan(plan_string)).to_dict()
 
 
-def _cache_key(plan_string: str, version: str) -> str:
-    return diskcache.digest(
-        f"fuzz-format={_CACHE_FORMAT}",
-        f"plan={plan_string}",
-        f"config={fuzz_config()!r}",
-        f"code={version}",
-    )
-
-
 def run_plans(plan_strings: Sequence[str], jobs: int = 1,
-              cache_dir: Optional[str] = None,
               progress: Optional[ProgressFn] = None,
               stage: str = "fuzz") -> List[Dict[str, object]]:
-    """Run many plans, cache-deduplicated, results in input order."""
-    plan_strings = list(plan_strings)
-    cache = Path(cache_dir) if cache_dir else None
-    version = code_version()
-    results: List[Optional[Dict[str, object]]] = [None] * len(plan_strings)
-    misses: List[int] = []
-    for index, plan_string in enumerate(plan_strings):
-        entry = (diskcache.load_entry(cache, _cache_key(plan_string, version),
-                                      _CACHE_FORMAT)
-                 if cache is not None else None)
-        cached = entry.get("result") if entry is not None else None
-        if isinstance(cached, dict):
-            results[index] = cached
-        else:
-            misses.append(index)
+    """Run every plan; results in input order.
 
-    # Chunked fan-out so progress/ETA can tick while work is running.
+    The fan-out is chunked so progress (and the CLI's ETA) can tick
+    while work is running.
+    """
+    plan_strings = list(plan_strings)
     if jobs <= 0:
         jobs = os.cpu_count() or 1
     chunk_size = max(jobs * 2, 8)
-    done = 0
-    for start in range(0, len(misses), chunk_size):
-        chunk = misses[start:start + chunk_size]
-        outcomes = fan_out(_worker, [plan_strings[i] for i in chunk],
-                           jobs=jobs)
-        for index, outcome in zip(chunk, outcomes):
-            results[index] = outcome
-            if cache is not None:
-                diskcache.store_entry(
-                    cache, _cache_key(plan_strings[index], version), {
-                        "format": _CACHE_FORMAT,
-                        "plan": plan_strings[index],
-                        "code_version": version,
-                        "result": outcome,
-                    })
-            done += 1
+    results: List[Dict[str, object]] = []
+    for start in range(0, len(plan_strings), chunk_size):
+        chunk = plan_strings[start:start + chunk_size]
+        outcomes = fan_out(_worker, chunk, jobs=jobs)
+        for plan_string, outcome in zip(chunk, outcomes):
+            results.append(outcome)
             if progress is not None:
-                progress(stage, done, len(misses), plan_strings[index],
-                         False)
-    return [result for result in results if result is not None]
+                progress(stage, len(results), len(plan_strings),
+                         plan_string)
+    return results
 
 
 # --- enumeration ----------------------------------------------------------
@@ -195,7 +160,6 @@ def run_campaign(options: CampaignOptions,
     corpus_entries = load_corpus(Path(options.corpus_dir))
     corpus_plans = [str(entry["plan"]) for entry in corpus_entries]
     corpus_results = run_plans(corpus_plans, jobs=options.jobs,
-                               cache_dir=options.cache_dir,
                                progress=progress, stage="corpus")
     regressions = [result for result in corpus_results
                    if result["outcome"] == "fail"]
@@ -206,8 +170,7 @@ def run_campaign(options: CampaignOptions,
     census_results = run_plans(
         [str(census_plan(system, workload, options.mode))
          for system, workload in pairs],
-        jobs=options.jobs, cache_dir=options.cache_dir,
-        progress=progress, stage="census")
+        jobs=options.jobs, progress=progress, stage="census")
     census_counts: Dict[Tuple[str, str], Dict[str, int]] = {
         pair: dict(cast(Dict[str, int], result["site_counts"]))
         for pair, result in zip(pairs, census_results)}
@@ -217,7 +180,6 @@ def run_campaign(options: CampaignOptions,
     known = set(corpus_plans)
     plan_strings = [str(plan) for plan in plans if str(plan) not in known]
     results = run_plans(plan_strings, jobs=options.jobs,
-                        cache_dir=options.cache_dir,
                         progress=progress, stage="fuzz")
 
     outcomes: Dict[str, int] = {}

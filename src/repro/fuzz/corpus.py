@@ -21,11 +21,11 @@ Entry layout (all JSON-stable)::
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from .. import diskcache
 from ..errors import WorkloadError
 from .plan import CrashPlan, parse_plan
 from .runner import FuzzResult
@@ -34,8 +34,26 @@ DEFAULT_CORPUS_DIR = "fuzz-corpus"
 _FORMAT = 1
 
 
+def code_version() -> str:
+    """Digest of every ``repro`` source file; changes on any code edit.
+
+    Provenance for campaign reports and archived entries.  Hashing the
+    package sources rather than a VCS revision covers uncommitted edits
+    and works without git metadata.
+    """
+    package_root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for path in sorted(package_root.rglob("*.py")):
+        digest.update(str(path.relative_to(package_root)).encode())
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
 def entry_name(plan: CrashPlan) -> str:
-    return diskcache.digest(f"fuzz-corpus={_FORMAT}", str(plan))[:16]
+    material = f"fuzz-corpus={_FORMAT}\0{plan}\0"
+    return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
 
 
 def entry_path(corpus_dir: Path, plan: CrashPlan) -> Path:

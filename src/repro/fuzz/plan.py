@@ -8,9 +8,9 @@ optional detail, occurrence ordinal, cycle jitter).  Its string form::
     journal/hotpage:s0:e3:b16@table-persist.log#1+0
 
 round-trips exactly (``parse_plan(str(plan)) == plan``) and serves as
-the cache key, the corpus filename stem and the ``repro fuzz replay``
-argument.  Everything downstream of a plan string is deterministic, so
-one string *is* one reproducible simulation.
+the ``repro fuzz replay`` argument; its digest names the plan's corpus
+file.  Everything downstream of a plan string is deterministic, so one
+string *is* one reproducible simulation.
 """
 
 from __future__ import annotations

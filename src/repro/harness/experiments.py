@@ -11,14 +11,13 @@ checkpoint-work-to-execution-work ratio that drives the results.
 
 Every runner declares its full ``(system, workload, config)`` point
 list up front and submits it through :mod:`repro.harness.parallel`:
-``jobs=1`` (the default) runs serially, ``jobs=N`` fans the same list
-over N worker processes, and ``cache_dir`` reuses finished points from
-disk — all three produce identical results (see docs/HARNESS.md).
+``jobs=1`` (the default) runs serially and ``jobs=N`` fans the same
+list over N worker processes; both produce identical results (see
+docs/HARNESS.md).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, List, Optional
 
 from ..config import SystemConfig
@@ -47,7 +46,6 @@ def run_micro(systems: Iterable[str] = COMPARED_SYSTEMS,
               num_ops: int = 16000,
               config: Optional[SystemConfig] = None,
               jobs: int = 1,
-              cache_dir: Optional[os.PathLike] = None,
               progress: Optional[ProgressFn] = None,
               ) -> Dict[str, Dict[str, StatsCollector]]:
     """All micro-benchmarks on all systems (Figs. 7 and 8)."""
@@ -56,8 +54,7 @@ def run_micro(systems: Iterable[str] = COMPARED_SYSTEMS,
     points = [RunPoint(system=system, trace=_micro_spec(workload, num_ops),
                        config=config, label=f"{workload}/{system}")
               for workload in MICRO_WORKLOADS for system in systems]
-    stats = iter(run_points(points, jobs=jobs, cache_dir=cache_dir,
-                            progress=progress))
+    stats = iter(run_points(points, jobs=jobs, progress=progress))
     return {workload: {system: next(stats).stats for system in systems}
             for workload in MICRO_WORKLOADS}
 
@@ -102,7 +99,6 @@ def run_kvstore(structure: str,
                 num_ops: int = 1500,
                 config: Optional[SystemConfig] = None,
                 jobs: int = 1,
-                cache_dir: Optional[os.PathLike] = None,
                 progress: Optional[ProgressFn] = None,
                 ) -> Dict[int, Dict[str, StatsCollector]]:
     """Key-value-store sweep over request sizes (Figs. 9 and 10)."""
@@ -122,8 +118,7 @@ def run_kvstore(structure: str,
             RunPoint(system=system, trace=trace, config=config,
                      label=f"{structure}/{size}B/{system}")
             for system in systems)
-    stats = iter(run_points(points, jobs=jobs, cache_dir=cache_dir,
-                            progress=progress))
+    stats = iter(run_points(points, jobs=jobs, progress=progress))
     return {size: {system: next(stats).stats for system in systems}
             for size in request_sizes}
 
@@ -162,7 +157,6 @@ def run_spec(systems: Iterable[str] = ("ideal_dram", "ideal_nvm", "thynvm"),
              config: Optional[SystemConfig] = None,
              benchmarks: Optional[List[str]] = None,
              jobs: int = 1,
-             cache_dir: Optional[os.PathLike] = None,
              progress: Optional[ProgressFn] = None,
              ) -> Dict[str, Dict[str, StatsCollector]]:
     """SPEC CPU2006 models on the Fig. 11 systems.
@@ -182,8 +176,7 @@ def run_spec(systems: Iterable[str] = ("ideal_dram", "ideal_nvm", "thynvm"),
                        trace=spec_cpu_spec(name, num_mem_ops),
                        config=config, label=f"{name}/{system}")
               for name in names for system in systems]
-    stats = iter(run_points(points, jobs=jobs, cache_dir=cache_dir,
-                            progress=progress))
+    stats = iter(run_points(points, jobs=jobs, progress=progress))
     return {name: {system: next(stats).stats for system in systems}
             for name in names}
 
@@ -205,7 +198,6 @@ def fig12_btt_sensitivity(btt_sizes: Iterable[int] = (256, 512, 1024, 2048,
                           num_ops: int = 1500,
                           config: Optional[SystemConfig] = None,
                           jobs: int = 1,
-                          cache_dir: Optional[os.PathLike] = None,
                           progress: Optional[ProgressFn] = None,
                           ) -> Dict[int, Dict[str, float]]:
     """Fig. 12: hash-table KV store vs BTT size (throughput + traffic)."""
@@ -217,8 +209,7 @@ def fig12_btt_sensitivity(btt_sizes: Iterable[int] = (256, 512, 1024, 2048,
                        config=base.with_overrides(btt_entries=btt_entries),
                        label=f"btt={btt_entries}")
               for btt_entries in btt_sizes]
-    ran = run_points(points, jobs=jobs, cache_dir=cache_dir,
-                     progress=progress)
+    ran = run_points(points, jobs=jobs, progress=progress)
     results: Dict[int, Dict[str, float]] = {}
     for btt_entries, result in zip(btt_sizes, ran):
         stats = result.stats
@@ -233,7 +224,6 @@ def fig12_btt_sensitivity(btt_sizes: Iterable[int] = (256, 512, 1024, 2048,
 def table1_tradeoff(num_ops: int = 8000,
                     config: Optional[SystemConfig] = None,
                     jobs: int = 1,
-                    cache_dir: Optional[os.PathLike] = None,
                     progress: Optional[ProgressFn] = None,
                     ) -> Dict[str, Dict[str, float]]:
     """Table 1 / §1 claims: uniform-granularity ablations vs ThyNVM.
@@ -251,8 +241,7 @@ def table1_tradeoff(num_ops: int = 8000,
     points = [RunPoint(system=system, trace=trace, config=config,
                        label=f"table1/{system}")
               for system in systems]
-    ran = run_points(points, jobs=jobs, cache_dir=cache_dir,
-                     progress=progress)
+    ran = run_points(points, jobs=jobs, progress=progress)
     by_system = {result.point.system: result.stats for result in ran}
     base_cycles = by_system["ideal_dram"].cycles
     results: Dict[str, Dict[str, float]] = {}

@@ -1,4 +1,4 @@
-"""Parallel, cached execution of independent simulation points.
+"""Parallel execution of independent simulation points.
 
 Every paper figure is a sweep over ``(system, workload, config)``
 points, each point an independent, deterministic simulation — an
@@ -17,33 +17,22 @@ Two design rules keep that guarantee cheap:
   *serial* path (``jobs=1``) runs the very same worker function inline,
   so both paths share one code path end to end.
 
-Results are also cached on disk (``.repro-cache/`` by default when a
-``cache_dir`` is given) keyed by a stable hash of the system name, the
-trace spec, the full ``SystemConfig`` and a code-version digest of the
-``repro`` package sources — editing any simulator source invalidates
-every entry.  See ``docs/HARNESS.md``.
+Every run simulates every point.  See ``docs/HARNESS.md``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .. import diskcache
 from ..config import SystemConfig
-from ..errors import SimulationError
 from ..stats.collector import StatsCollector
 from ..stats.summary import stats_from_dict, stats_to_dict
 from ..workloads.tracespec import TraceSpec
 from .runner import run_workload
-
-DEFAULT_CACHE_DIR = ".repro-cache"
-_CACHE_FORMAT = 1
 
 
 @dataclass(frozen=True)
@@ -65,7 +54,6 @@ class PointResult:
 
     point: RunPoint
     stats: StatsCollector
-    cached: bool
     wall_seconds: float     # observability only; never part of results
 
 
@@ -76,73 +64,11 @@ class ProgressEvent:
     index: int              # 0-based position in the point list
     total: int
     point: RunPoint
-    cached: bool
     wall_seconds: float
 
 
 ProgressFn = Callable[[ProgressEvent], None]
 
-
-# --- cache keying --------------------------------------------------------
-
-_code_version_cache: Dict[str, str] = {}
-
-
-def code_version() -> str:
-    """Digest of every ``repro`` source file; changes on any code edit.
-
-    Computed once per process.  Using the package sources rather than a
-    VCS revision keeps the key honest for uncommitted edits and works
-    in environments without git metadata.
-    """
-    cached = _code_version_cache.get("digest")
-    if cached is not None:
-        return cached
-    package_root = Path(__file__).resolve().parent.parent
-    digest = hashlib.sha256()
-    for path in sorted(package_root.rglob("*.py")):
-        digest.update(str(path.relative_to(package_root)).encode())
-        digest.update(b"\0")
-        digest.update(path.read_bytes())
-        digest.update(b"\0")
-    version = digest.hexdigest()
-    _code_version_cache["digest"] = version
-    return version
-
-
-def cache_key(point: RunPoint, version: Optional[str] = None) -> str:
-    """Stable hash identifying one point's result across processes."""
-    version = version if version is not None else code_version()
-    return diskcache.digest(
-        f"format={_CACHE_FORMAT}",
-        f"system={point.system}",
-        f"trace={point.trace.cache_token()}",
-        f"config={point.config!r}",
-        f"code={version}",
-    )
-
-
-def _cache_load(cache_dir: Path, key: str) -> Optional[Dict[str, object]]:
-    entry = diskcache.load_entry(cache_dir, key, _CACHE_FORMAT)
-    if entry is None:
-        return None
-    stats = entry.get("stats")
-    return stats if isinstance(stats, dict) else None
-
-
-def _cache_store(cache_dir: Path, key: str, point: RunPoint,
-                 snapshot: Dict[str, object]) -> None:
-    diskcache.store_entry(cache_dir, key, {
-        "format": _CACHE_FORMAT,
-        "system": point.system,
-        "trace": point.trace.cache_token(),
-        "config": repr(point.config),
-        "code_version": code_version(),
-        "stats": snapshot,
-    })
-
-
-# --- execution -----------------------------------------------------------
 
 def fan_out(worker: Callable, payloads: Sequence, jobs: int = 1) -> List:
     """Map ``worker`` over ``payloads``, preserving payload order.
@@ -178,60 +104,27 @@ def _simulate(payload: Tuple[str, TraceSpec, SystemConfig, int]
 
 
 def run_points(points: Sequence[RunPoint], jobs: int = 1,
-               cache_dir: Optional[os.PathLike] = None,
                progress: Optional[ProgressFn] = None,
                max_events: int = 200_000_000,
                ) -> List[PointResult]:
     """Run every point; results ordered by the declared point list.
 
     ``jobs=1`` runs inline (the serial fallback); ``jobs>1`` fans out
-    over a process pool; ``jobs<=0`` uses one worker per CPU.  With a
-    ``cache_dir``, previously computed points load from disk and skip
-    simulation entirely.
+    over a process pool; ``jobs<=0`` uses one worker per CPU.
+    ``progress`` fires once per point, in declared order, after every
+    point has finished.
     """
     points = list(points)
-    if jobs <= 0:
-        jobs = os.cpu_count() or 1
-    cache = Path(cache_dir) if cache_dir is not None else None
-
-    results: List[Optional[PointResult]] = [None] * len(points)
-    misses: List[int] = []
-
-    version = code_version()
-    keys = [cache_key(point, version) for point in points]
-    for index, point in enumerate(points):
-        snapshot = _cache_load(cache, keys[index]) if cache else None
-        if snapshot is not None:
-            results[index] = PointResult(point=point,
-                                         stats=stats_from_dict(snapshot),
-                                         cached=True, wall_seconds=0.0)
-        else:
-            misses.append(index)
-
-    payloads = [(points[i].system, points[i].trace, points[i].config,
-                 max_events) for i in misses]
+    payloads = [(point.system, point.trace, point.config, max_events)
+                for point in points]
     outcomes = fan_out(_simulate, payloads, jobs=jobs)
-
-    for index, (snapshot, wall) in zip(misses, outcomes):
-        if cache:
-            _cache_store(cache, keys[index], points[index], snapshot)
-        results[index] = PointResult(point=points[index],
-                                     stats=stats_from_dict(snapshot),
-                                     cached=False, wall_seconds=wall)
-
-    finished: List[PointResult] = []
-    for index, result in enumerate(results):
-        if result is None:              # pragma: no cover - internal guard
-            raise SimulationError(
-                f"point {points[index].describe()} produced no result")
+    results: List[PointResult] = []
+    for index, point in enumerate(points):
+        snapshot, wall = outcomes[index]
+        result = PointResult(point=point, stats=stats_from_dict(snapshot),
+                             wall_seconds=wall)
         if progress is not None:
             progress(ProgressEvent(index=index, total=len(points),
-                                   point=result.point, cached=result.cached,
-                                   wall_seconds=result.wall_seconds))
-        finished.append(result)
-    return finished
-
-
-def stats_by_point(results: Iterable[PointResult]) -> List[StatsCollector]:
-    """Convenience: just the collectors, in declared-point order."""
-    return [result.stats for result in results]
+                                   point=point, wall_seconds=wall))
+        results.append(result)
+    return results

@@ -7,10 +7,9 @@ set, from which any process can rebuild the identical op stream (every
 generator in :mod:`repro.workloads` is deterministic given its
 parameters and seed).
 
-The spec doubles as the workload half of the result-cache key: its
-:meth:`cache_token` is a stable textual rendering of the recipe, so two
-runs of the same workload hash to the same cache entry across
-processes and Python invocations.
+Its :meth:`cache_token` is a stable textual rendering of the recipe,
+the same across processes and Python invocations; a sweep point with
+no explicit label is named by it.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ class TraceSpec:
         return builder(dict(self.params))
 
     def cache_token(self) -> str:
-        """Stable text identifying the workload for cache keying."""
+        """Stable text identifying the workload."""
         inner = ",".join(f"{name}={value!r}" for name, value in self.params)
         return f"{self.kind}({inner})"
 

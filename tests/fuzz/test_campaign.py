@@ -16,7 +16,7 @@ from repro.core.controller import ThyNVMController
 from repro.core.regions import other_region
 from repro.errors import WorkloadError
 from repro.fuzz.campaign import (CampaignOptions, campaign_failed,
-                                 run_campaign, run_plans)
+                                 run_campaign)
 from repro.fuzz.corpus import archive, entry_path, load_corpus
 from repro.fuzz.plan import parse_plan
 from repro.fuzz.runner import run_plan
@@ -37,8 +37,8 @@ def _buggy_snapshot(self, epoch):
 
 def quick_options(tmp_path, **overrides):
     fields = dict(quick=True, systems=("thynvm",), workloads=("sparse",),
-                  jobs=1, cache_dir=None,
-                  corpus_dir=str(tmp_path / "corpus"), max_minimized=1)
+                  jobs=1, corpus_dir=str(tmp_path / "corpus"),
+                  max_minimized=1)
     fields.update(overrides)
     return CampaignOptions(**fields)
 
@@ -95,15 +95,6 @@ def test_report_is_deterministic(tmp_path):
     first = json.dumps(run_campaign(options), sort_keys=True)
     second = json.dumps(run_campaign(options), sort_keys=True)
     assert first == second
-
-
-def test_cache_round_trip_matches_fresh_run(tmp_path):
-    plans = ["thynvm/sparse:s1:e2:b12@fence#1+0",
-             "journal/sparse:s1:e2:b12@commit#1+0"]
-    cold = run_plans(plans, cache_dir=str(tmp_path / "cache"))
-    warm = run_plans(plans, cache_dir=str(tmp_path / "cache"))
-    fresh = run_plans(plans, cache_dir=None)
-    assert cold == warm == fresh
 
 
 def test_corrupt_corpus_entry_stops_the_campaign(tmp_path):

@@ -47,7 +47,7 @@ def test_sites_subcommand_reports_taxonomy(capsys):
 
 def test_campaign_smoke_passes(tmp_path, capsys):
     code = main(["fuzz", "--quick", "--systems", "thynvm",
-                 "--workloads", "sparse", "--no-cache",
+                 "--workloads", "sparse",
                  "--corpus-dir", str(tmp_path / "corpus")])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
@@ -59,7 +59,6 @@ def test_campaign_check_mode_demotes_new_failures(tmp_path, capsys):
                            _buggy_snapshot):
         code = main(["fuzz", "--quick", "--check", "--no-minimize",
                      "--systems", "thynvm", "--workloads", "sparse",
-                     "--no-cache",
                      "--corpus-dir", str(tmp_path / "corpus")])
     assert code == 0                              # warn, don't fail
     out = capsys.readouterr().out
@@ -71,7 +70,6 @@ def test_campaign_without_check_fails_on_findings(tmp_path, capsys):
                            _buggy_snapshot):
         code = main(["fuzz", "--quick", "--no-minimize",
                      "--systems", "thynvm", "--workloads", "sparse",
-                     "--no-cache",
                      "--corpus-dir", str(tmp_path / "corpus")])
     assert code == EXIT_CODES[FuzzFailure]
 

@@ -78,3 +78,22 @@ def test_retired_store_flag_is_rejected(tmp_path, monkeypatch):
     with pytest.raises(SystemExit):
         main(["run", "--store", "mmap", "--ops", "10"])
     assert not (tmp_path / "mmap").exists()
+
+
+@pytest.mark.parametrize("ops", ["0", "-5"])
+def test_bench_rejects_ops_below_one(ops, capsys):
+    assert main(["bench", "fig12", "--ops", ops]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "--ops must be at least 1" in captured.err
+
+
+def test_bench_parallel_output_identical_to_serial(capsys):
+    outputs = []
+    for jobs in ("1", "2"):
+        assert main(["bench", "fig12", "--ops", "200", "--json",
+                     "--jobs", jobs]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["fig12"]["series"]
