@@ -23,12 +23,12 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Iterator, List, Optional
+from typing import Iterator, List, NoReturn, Optional
 
 from .config import SystemConfig
-from .errors import FuzzFailure, ReproError, exit_code_for
+from .errors import ClaimFailure, FuzzFailure, ReproError, exit_code_for
 from .cpu.trace import Op
-from .harness import experiments
+from .harness.experiments import EXPERIMENTS
 from .harness.runner import run_workload
 from .harness.systems import SYSTEM_NAMES
 from .harness.tables import format_table
@@ -44,9 +44,6 @@ MICRO_FACTORIES = {
     "sliding": sliding_trace,
 }
 
-FIGURES = ("fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "table1")
-
-
 def build_config(args: argparse.Namespace) -> SystemConfig:
     """SystemConfig from the CLI's config-override flags."""
     overrides = {}
@@ -59,6 +56,12 @@ def build_config(args: argparse.Namespace) -> SystemConfig:
     if getattr(args, "msync", None):
         overrides["msync_policy"] = args.msync
     return SystemConfig(**overrides)
+
+
+def _usage_error(message: str) -> NoReturn:
+    """One line on stderr, then exit 2 like an argparse usage error."""
+    print(message, file=sys.stderr)
+    raise SystemExit(2)
 
 
 def build_trace(args: argparse.Namespace) -> Iterator[Op]:
@@ -79,8 +82,8 @@ def build_trace(args: argparse.Namespace) -> Iterator[Op]:
     if name.startswith("spec:"):
         bench = name.split(":", 1)[1]
         if bench not in SPEC_MODELS:
-            raise SystemExit(f"unknown SPEC model {bench!r}; "
-                             f"choose from {sorted(SPEC_MODELS)}")
+            _usage_error(f"{args.command}: unknown SPEC model {bench!r}; "
+                         f"choose from {sorted(SPEC_MODELS)}")
         return spec_trace(SPEC_MODELS[bench], args.ops, seed=args.seed)
     if name.startswith("ycsb:"):
         from .workloads.ycsb import ycsb_trace
@@ -89,10 +92,9 @@ def build_trace(args: argparse.Namespace) -> Iterator[Op]:
                           num_ops=args.ops,
                           persist_every=args.persist_every,
                           seed=args.seed)
-    raise SystemExit(
-        f"unknown workload {name!r}; choose from "
-        f"{sorted(MICRO_FACTORIES)} + ['kv-hash', 'kv-rbtree', "
-        f"'spec:<name>', 'ycsb:<mix>']")
+    _usage_error(f"{args.command}: unknown workload {name!r}; choose from "
+                 f"{sorted(MICRO_FACTORIES)} + ['kv-hash', 'kv-rbtree', "
+                 f"'spec:<name>', 'ycsb:<mix>']")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -109,106 +111,23 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_figures(wanted, ops, jobs=1, progress=None, emit=print):
-    """Run the requested figures; return the figure-keyed report dict.
-
-    ``emit`` receives the human-readable tables; pass a no-op to build
-    the report silently (``repro bench --json``).  The report contains
-    only deterministic simulation results (series + per-point summary
-    dicts) so ``--jobs N`` output is byte-identical to serial output.
-    """
-    report = {}
-
-    def point_summaries(results):
-        return {str(key): {system: stats.summary()
-                           for system, stats in by_system.items()}
-                for key, by_system in results.items()}
-
-    if {"fig7", "fig8"} & set(wanted):
-        micro = experiments.run_micro(num_ops=ops or 12000, jobs=jobs,
-                                      progress=progress)
-        if "fig7" in wanted:
-            series = experiments.fig7_exec_time(micro)
-            report["fig7"] = {"series": series,
-                              "points": point_summaries(micro)}
-            _print_series("Figure 7 (relative exec time)", series, emit)
-        if "fig8" in wanted:
-            traffic = experiments.fig8_write_traffic(micro)
-            report["fig8"] = {"series": traffic,
-                              "points": point_summaries(micro)}
-            for workload, systems in traffic.items():
-                rows = [[s] + [round(v, 2) for v in cells.values()]
-                        for s, cells in systems.items()]
-                emit(format_table(
-                    ["system", "cpu MB", "ckpt MB", "migr MB", "other MB",
-                     "total MB", "ckpt %"], rows,
-                    title=f"Figure 8: {workload}"))
-                emit()
-    if {"fig9", "fig10"} & set(wanted):
-        for structure in ("hashtable", "rbtree"):
-            kv = experiments.run_kvstore(structure, num_ops=ops or 1200,
-                                         jobs=jobs, progress=progress)
-            if "fig9" in wanted:
-                series = experiments.fig9_throughput(kv)
-                report.setdefault("fig9", {})[structure] = {
-                    "series": series, "points": point_summaries(kv)}
-                _print_series(f"Figure 9 ({structure}, KTPS)", series, emit)
-            if "fig10" in wanted:
-                series = experiments.fig10_bandwidth(kv)
-                report.setdefault("fig10", {})[structure] = {
-                    "series": series, "points": point_summaries(kv)}
-                _print_series(f"Figure 10 ({structure}, MB/s)", series, emit)
-    if "fig11" in wanted:
-        spec = experiments.run_spec(num_mem_ops=ops or 10000, jobs=jobs,
-                                    progress=progress)
-        series = experiments.fig11_normalized_ipc(spec)
-        report["fig11"] = {"series": series,
-                           "points": point_summaries(spec)}
-        _print_series("Figure 11 (IPC norm. to Ideal DRAM)", series, emit)
-    if "fig12" in wanted:
-        series = experiments.fig12_btt_sensitivity(num_ops=ops or 1500,
-                                                   jobs=jobs,
-                                                   progress=progress)
-        report["fig12"] = {"series": series}
-        rows = [[size] + [round(v, 2) for v in cells.values()]
-                for size, cells in sorted(series.items())]
-        emit(format_table(
-            ["BTT entries", "KTPS", "NVM MB", "overflow epochs"], rows,
-            title="Figure 12"))
-        emit()
-    if "table1" in wanted:
-        results = experiments.table1_tradeoff(num_ops=ops or 8000, jobs=jobs,
-                                              progress=progress)
-        report["table1"] = {"series": results}
-        rows = [[system] + [cells[k] for k in
-                            ("cycles", "overhead_cycles",
-                             "ckpt_stall_cycles", "metadata_peak_bytes")]
-                for system, cells in results.items()]
-        emit(format_table(
-            ["system", "cycles", "overhead", "stall", "metadata B"],
-            rows, title="Table 1"))
-        emit()
-    return report
-
-
-def _check_figures(figures) -> list:
-    wanted = figures or list(FIGURES)
-    unknown = [f for f in wanted if f not in FIGURES]
-    if unknown:
-        raise SystemExit(f"unknown figure(s) {unknown}; pick from {FIGURES}")
-    return wanted
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
-    """`repro bench`: regenerate paper figures via the parallel harness.
+    """`repro bench`: reproduce the paper's experiments, check its claims.
 
-    Deterministic results go to stdout (tables, or ``--json``);
-    progress and timing observability go to stderr, so two runs with
-    different ``--jobs`` values can be diffed on stdout alone.
+    Runs every selected experiment of ``harness/experiments.py`` (all by
+    default), each shared sweep once, and prints each table with the
+    verdict on each of its claims.  Deterministic results go to stdout
+    (tables, or ``--json``); progress and timing go to stderr, so two
+    runs with different ``--jobs`` values can be diffed on stdout alone.
+    A failed claim is named on stderr and exits with ClaimFailure's code.
     """
     import time as _time
 
-    wanted = _check_figures(args.figures)
+    unknown = [name for name in args.experiments if name not in EXPERIMENTS]
+    if unknown:
+        print(f"bench: unknown experiment(s): {', '.join(unknown)} "
+              f"(have: {', '.join(EXPERIMENTS)})", file=sys.stderr)
+        return 2
     if args.ops is not None and args.ops < 1:
         print(f"bench: --ops must be at least 1 (got {args.ops})",
               file=sys.stderr)
@@ -224,13 +143,35 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     emit = (lambda *parts: None) if args.json else print
     started = _time.perf_counter()
-    report = _run_figures(wanted, args.ops, jobs=args.jobs,
-                          progress=progress, emit=emit)
+    report, swept, failed = {}, {}, []
+    for experiment in EXPERIMENTS.values():
+        if args.experiments and experiment.name not in args.experiments:
+            continue
+        ops = args.ops or experiment.ops
+        key = (experiment.sweep, ops)
+        if key not in swept:
+            swept[key] = experiment.sweep(ops, args.jobs, progress)
+        entry = experiment.report(swept[key])
+        verdicts = {claim.id: bool(claim.holds(entry))
+                    for claim in experiment.claims}
+        emit(experiment.render(entry))
+        for claim in experiment.claims:
+            emit(f"  {'ok  ' if verdicts[claim.id] else 'FAIL'}  "
+                 f"{claim.id}: {claim.text}")
+        emit()
+        entry["claims"] = verdicts
+        report[experiment.name] = entry
+        failed += [claim for claim in experiment.claims
+                   if not verdicts[claim.id]]
     elapsed = _time.perf_counter() - started
     print(f"bench: {points} points, {elapsed:.2f}s wall (jobs={args.jobs})",
           file=sys.stderr)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
+    if failed:
+        raise ClaimFailure(
+            f"{len(failed)} claim(s) failed: "
+            + "; ".join(f"{claim.id} ({claim.text})" for claim in failed))
     return 0
 
 
@@ -244,15 +185,6 @@ def cmd_perf(args: argparse.Namespace) -> int:
     """
     from .perf import main as perf_main
     return perf_main(args)
-
-
-def _print_series(title: str, series, emit=print) -> None:
-    keys = sorted(series)
-    systems = list(series[keys[0]].keys())
-    rows = [[key] + [round(series[key][s], 3) for s in systems]
-            for key in keys]
-    emit(format_table(["x"] + systems, rows, title=title))
-    emit()
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -431,8 +363,8 @@ def cmd_crashproc(args: argparse.Namespace) -> int:
 
     if args.child or args.recover:
         if not args.plan or not args.store_dir:
-            raise SystemExit("crashproc --child/--recover need a plan "
-                             "and --store-dir")
+            _usage_error("crashproc: --child/--recover need a plan and "
+                         "--store-dir")
         plan = parse_plan(args.plan)
         if args.child:
             return run_child(plan, args.store_dir)
@@ -452,7 +384,7 @@ def cmd_crashproc(args: argparse.Namespace) -> int:
         return 0
 
     if not args.plan:
-        raise SystemExit("crashproc: give a crash plan string or --sweep")
+        _usage_error("crashproc: give a crash plan string or --sweep")
     result = run_crashproc(parse_plan(args.plan), store_dir=args.store_dir,
                            keep=args.keep, timeout=args.timeout)
     print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
@@ -506,11 +438,17 @@ def make_parser() -> argparse.ArgumentParser:
     run_parser.set_defaults(func=cmd_run)
 
     bench_parser = sub.add_parser(
-        "bench", help="regenerate paper figures via the parallel harness "
-                      "(docs/HARNESS.md; see benchmarks/ too)")
-    bench_parser.add_argument("figures", nargs="*",
-                              help=f"subset of {FIGURES}; default all")
-    bench_parser.add_argument("--ops", type=int, default=None)
+        "bench", help="reproduce the paper's experiments and check their "
+                      "claims (EXPERIMENTS.md, docs/HARNESS.md)")
+    # Checked in cmd_bench, not by argparse `choices`: before Python
+    # 3.12 argparse tests an empty `nargs="*"` list against the choices
+    # and rejects it.
+    bench_parser.add_argument("experiments", nargs="*", metavar="EXPERIMENT",
+                              help=f"subset of {', '.join(EXPERIMENTS)}; "
+                                   f"default all")
+    bench_parser.add_argument("--ops", type=int, default=None,
+                              help="trace length for every selected "
+                                   "experiment (default: each its own)")
     bench_parser.add_argument("--jobs", type=int, default=1,
                               help="worker processes (1 = serial fallback, "
                                    "0 = one per CPU)")

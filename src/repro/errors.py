@@ -65,6 +65,15 @@ class FuzzFailure(ReproError):
     """
 
 
+class ClaimFailure(ReproError):
+    """A `repro bench` run broke one of the paper's declared claims.
+
+    Like :class:`FuzzFailure`, a distinct exit code separates "the
+    experiments ran and a measured shape contradicts the paper" from
+    "the tool itself broke".
+    """
+
+
 # CLI exit-code registry: every ReproError subclass maps to a stable,
 # distinct nonzero exit code (argparse owns 2; 1 stays generic).
 EXIT_CODES = {
@@ -78,6 +87,7 @@ EXIT_CODES = {
     AllocationError: 17,
     CrashedError: 18,
     FuzzFailure: 20,
+    ClaimFailure: 21,
     ReproError: 19,
 }
 

@@ -6,7 +6,7 @@ plot; these helpers keep that output aligned and consistent.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
@@ -32,14 +32,6 @@ def _fmt(cell: object) -> str:
     if isinstance(cell, float):
         return f"{cell:.3f}"
     return str(cell)
-
-
-def normalize(values: Dict[str, float], baseline_key: str) -> Dict[str, float]:
-    """Scale ``values`` so that ``values[baseline_key] == 1.0``."""
-    baseline = values[baseline_key]
-    if baseline == 0:
-        raise ZeroDivisionError(f"baseline {baseline_key!r} is zero")
-    return {key: value / baseline for key, value in values.items()}
 
 
 def geometric_mean(values: Iterable[float]) -> float:

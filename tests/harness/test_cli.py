@@ -1,10 +1,24 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.cli import main, make_parser
+from repro.errors import EXIT_CODES, ClaimFailure
+from repro.harness import experiments
+
+
+def assert_usage_error(argv, capsys, message):
+    """``argv`` exits 2 with ``message`` as its one line on stderr."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert message in captured.err
 
 
 def test_run_json_output(capsys):
@@ -36,14 +50,25 @@ def test_run_spec_workload(capsys):
     assert json.loads(capsys.readouterr().out)["instructions"] > 300
 
 
-def test_unknown_workload_rejected():
-    with pytest.raises(SystemExit):
-        main(["run", "--workload", "bogus", "--ops", "10"])
+def test_unknown_workload_rejected(capsys):
+    assert_usage_error(["run", "--workload", "bogus", "--ops", "10"],
+                       capsys, "run: unknown workload 'bogus'")
 
 
-def test_unknown_spec_model_rejected():
-    with pytest.raises(SystemExit):
-        main(["run", "--workload", "spec:nope", "--ops", "10"])
+def test_unknown_spec_model_rejected(capsys):
+    assert_usage_error(["run", "--workload", "spec:nope", "--ops", "10"],
+                       capsys, "run: unknown SPEC model 'nope'")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["trace", "record", "--workload", "nope", "-o", "nope.trace"],
+     "trace: unknown workload 'nope'"),
+    (["crashproc"], "crashproc: give a crash plan string or --sweep"),
+])
+def test_usage_errors_exit_two(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert_usage_error(argv, capsys, message)
+    assert not (tmp_path / "nope.trace").exists()
 
 
 def test_trace_record_and_replay(tmp_path, capsys):
@@ -89,6 +114,14 @@ def test_bench_rejects_ops_below_one(ops, capsys):
     assert "--ops must be at least 1" in captured.err
 
 
+def test_bench_rejects_unknown_experiment(capsys):
+    assert main(["bench", "fig7", "fig13"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "unknown experiment(s): fig13" in captured.err
+
+
 def test_bench_parallel_output_identical_to_serial(capsys):
     outputs = []
     for jobs in ("1", "2"):
@@ -96,4 +129,39 @@ def test_bench_parallel_output_identical_to_serial(capsys):
                      "--jobs", jobs]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
-    assert json.loads(outputs[0])["fig12"]["series"]
+    report = json.loads(outputs[0])
+    assert report["fig12"]["series"]
+    assert report["fig12"]["claims"] == {
+        claim.id: True for claim in experiments.EXPERIMENTS["fig12"].claims}
+
+
+def test_bench_failed_claim_exits_with_claim_code(monkeypatch, capsys):
+    fig12 = experiments.EXPERIMENTS["fig12"]
+    broken, *kept = fig12.claims
+    monkeypatch.setitem(experiments.EXPERIMENTS, "fig12", dataclasses.replace(
+        fig12, claims=(dataclasses.replace(broken, holds=lambda r: False),
+                       *kept)))
+    assert main(["bench", "fig12", "--ops", "200"]) == \
+        EXIT_CODES[ClaimFailure]
+    captured = capsys.readouterr()
+    assert f"FAIL  {broken.id}: {broken.text}" in captured.out
+    assert "Figure 12" in captured.out          # the table still prints
+    failure = captured.err.splitlines()[-1]
+    assert failure.startswith("repro: ClaimFailure: 1 claim(s) failed")
+    assert broken.id in failure
+    assert not any(claim.id in failure for claim in kept)
+
+
+def test_every_experiment_renders_and_checks_its_claims(capsys):
+    """Each declaration's sweep, table and claim predicates run end to
+    end.  At 40 ops many claims fail, so only that each verdict prints
+    is checked.  Figs. 9/10 are left to CI's full run: their key-value
+    preload alone takes ~30 s."""
+    names = [name for name in experiments.EXPERIMENTS
+             if name not in ("fig9", "fig10")]
+    assert main(["bench", *names, "--ops", "40"]) in (
+        0, EXIT_CODES[ClaimFailure])
+    out = capsys.readouterr().out
+    for name in names:
+        for claim in experiments.EXPERIMENTS[name].claims:
+            assert f"{claim.id}: {claim.text}" in out

@@ -7,7 +7,7 @@ from repro.cpu.trace import TraceBuilder
 from repro.errors import ConfigError, SimulationError
 from repro.harness.runner import execute, run_workload
 from repro.harness.systems import SYSTEM_NAMES, build_system
-from repro.harness.tables import format_table, geometric_mean, normalize
+from repro.harness.tables import format_table, geometric_mean
 
 
 def small_trace():
@@ -84,13 +84,6 @@ def test_format_table_alignment():
     assert lines[0] == "T"
     assert "name" in lines[1] and "value" in lines[1]
     assert len(lines) == 5
-
-
-def test_normalize():
-    values = normalize({"a": 2.0, "b": 4.0}, "a")
-    assert values == {"a": 1.0, "b": 2.0}
-    with pytest.raises(ZeroDivisionError):
-        normalize({"a": 0.0}, "a")
 
 
 def test_geometric_mean():

@@ -18,6 +18,15 @@ def test_default_config_matches_table2():
     assert config.promote_threshold == 22
     assert config.demote_threshold == 16
     assert 30_000 < config.metadata_bytes < 45_000   # ~37 KB
+    assert config.dram.row_hit == ns_to_cycles(40)
+    assert config.dram.row_miss_clean == ns_to_cycles(80)
+    assert config.nvm.row_hit == ns_to_cycles(40)
+    assert config.nvm.row_miss_clean == ns_to_cycles(128)
+    assert config.nvm.row_miss_dirty == ns_to_cycles(368)
+    assert config.table_lookup_latency == ns_to_cycles(3)
+    assert config.l1.hit_latency == 4
+    assert config.l2.hit_latency == 12
+    assert config.l3.hit_latency == 28
 
 
 def test_derived_geometry():
