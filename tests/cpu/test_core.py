@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import small_test_config
 from repro.cpu.core import Core
-from repro.cpu.trace import read, txn, work, write
+from repro.cpu.trace import persist, read, txn, work, write
 from repro.cache.hierarchy import CacheHierarchy
 from repro.errors import SimulationError
 from repro.sim.engine import Engine
@@ -144,6 +144,26 @@ def test_change_stall_reason_splits_accounting(setup):
     engine.run_until_idle()
     assert stats.stall_cycles.get("flush") == 100
     assert stats.stall_cycles.get("checkpoint") == 300
+
+
+def test_persist_and_resume_in_one_event_wake_the_core_once(setup):
+    """A stop-the-world barrier stalls the core at the persist, then
+    completes the persist and resumes the core in one event.  The core
+    must wake once and retire the two work ops one after the other, not
+    run them as two concurrent instruction streams."""
+    engine, core, stats = setup
+
+    def barrier(done):
+        def commit():
+            done()
+            core.resume()
+        core.stall_at_next_boundary(
+            "checkpoint", lambda: engine.schedule(100, commit))
+
+    core.persist_port = barrier
+    assert run(engine, core, [persist(), work(10), work(10)]) == 120
+    assert stats.stall_cycles.get("checkpoint") == 100
+    assert stats.instructions == 21
 
 
 def test_kill_stops_execution(setup):
