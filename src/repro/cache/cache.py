@@ -49,8 +49,10 @@ class Cache:
 
     def lookup(self, block_addr: int, touch: bool = True) -> bool:
         """True on hit.  ``touch`` updates recency."""
-        set_index, tag = self._locate(block_addr)
-        entries = self._sets.get(set_index)
+        block = block_addr >> self._block_shift
+        num_sets = self._num_sets
+        entries = self._sets.get(block % num_sets)
+        tag = block // num_sets
         if entries is None or tag not in entries:
             self.misses += 1
             return False

@@ -13,10 +13,11 @@ from __future__ import annotations
 import struct
 from typing import List
 
-from ...cpu.trace import Op, read as read_op, work, write as write_op
+from ...cpu.trace import Op, OpKind, work
 from ...errors import WorkloadError
 
 _U64 = struct.Struct("<Q")
+_READ, _WRITE = OpKind.READ, OpKind.WRITE
 
 NULL = 0
 
@@ -29,6 +30,8 @@ class RecordingMemory:
             raise WorkloadError("heap size must be positive")
         self.size = size
         self.work_per_access = work_per_access
+        # The compute between accesses: one immutable op, shared.
+        self._work = work(work_per_access) if work_per_access else None
         self._bytes = bytearray(size)
         self._pending: List[Op] = []
         self.reads = 0
@@ -41,30 +44,38 @@ class RecordingMemory:
             raise WorkloadError(
                 f"heap access out of range: 0x{addr:x}+{length}")
 
+    def _load(self, addr: int, length: int) -> None:
+        """Check and record a load of ``length`` bytes (not zero)."""
+        self._check(addr, length)
+        if length < 0:
+            raise WorkloadError("read op needs a positive size")
+        self.reads += 1
+        if self._work is not None:
+            self._pending.append(self._work)
+        self._pending.append(Op(_READ, addr, length))
+
     def read(self, addr: int, length: int) -> bytes:
         if length == 0:
             return b""   # zero-length loads touch no memory
-        self._check(addr, length)
-        self.reads += 1
-        if self.work_per_access:
-            self._pending.append(work(self.work_per_access))
-        self._pending.append(read_op(addr, length))
+        self._load(addr, length)
         return bytes(self._bytes[addr:addr + length])
 
     def write(self, addr: int, data: bytes) -> None:
         if not data:
             return   # zero-length stores touch no memory
-        self._check(addr, len(data))
+        length = len(data)
+        self._check(addr, length)
         self.writes += 1
-        if self.work_per_access:
-            self._pending.append(work(self.work_per_access))
-        self._pending.append(write_op(addr, len(data)))
-        self._bytes[addr:addr + len(data)] = data
+        if self._work is not None:
+            self._pending.append(self._work)
+        self._pending.append(Op(_WRITE, addr, length))
+        self._bytes[addr:addr + length] = data
 
     # --- typed helpers ------------------------------------------------------
 
     def read_u64(self, addr: int) -> int:
-        return _U64.unpack(self.read(addr, 8))[0]
+        self._load(addr, 8)
+        return _U64.unpack_from(self._bytes, addr)[0]
 
     def write_u64(self, addr: int, value: int) -> None:
         self.write(addr, _U64.pack(value))

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator
-
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 from ...cpu.trace import Op, persist, txn, work
 from ...errors import WorkloadError
@@ -73,37 +71,43 @@ class KVWorkload:
         return memory, allocator, store
 
 
+def value_maker(request_size: int) -> Callable[[int], bytes]:
+    """``value_for(key)``: the ``request_size`` bytes ``key * 31 + i``
+    (mod 256), sliced from one precomputed cycle of the bytes 0-255."""
+    cycle = bytes(range(256)) * ((request_size + 510) // 256)
+
+    def value_for(key: int) -> bytes:
+        start = (key * 31) & 0xFF
+        return cycle[start:start + request_size]
+
+    return value_for
+
+
 def kv_trace(config: KVWorkload) -> Iterator[Op]:
     """Generate the memory trace of one key-value-store run."""
     rng = random.Random(config.seed)
-    memory, _allocator, store = config.build_store()
-
-    def value_for(key: int) -> bytes:
-        return bytes([(key * 31 + i) & 0xFF
-                      for i in range(config.request_size)])
+    memory, _, store = config.build_store()
+    value_for = value_maker(config.request_size)
 
     # Warm the store silently: discard the preload's accesses.
-    live = set()
     for _ in range(config.preload):
         key = rng.randrange(1, config.key_space)
         store.insert(key, value_for(key))
-        live.add(key)
         memory.drain_ops()
 
+    txn_work, txn_done = work(config.work_per_txn), txn()
     for index in range(config.num_ops):
         dice = rng.random()
         key = rng.randrange(1, config.key_space)
-        yield work(config.work_per_txn)
+        yield txn_work
         if dice < config.search_frac:
             store.search(key)
         elif dice < config.search_frac + config.insert_frac:
             store.insert(key, value_for(key))
-            live.add(key)
         else:
             store.delete(key)
-            live.discard(key)
         yield from memory.drain_ops()
-        yield txn()
+        yield txn_done
         if (config.persist_every
                 and index % config.persist_every == config.persist_every - 1):
             yield persist()

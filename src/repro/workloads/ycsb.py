@@ -66,7 +66,7 @@ def ycsb_trace(mix: str, **kwargs) -> Iterator[Op]:
     Workload F (read-modify-write) issues a search before every update,
     like the YCSB driver does.
     """
-    from .kvstore.workload import kv_trace
+    from .kvstore.workload import kv_trace, value_maker
 
     mix = mix.upper()
     workload = ycsb_workload(mix, **kwargs)
@@ -79,11 +79,8 @@ def ycsb_trace(mix: str, **kwargs) -> Iterator[Op]:
     import random
 
     rng = random.Random(workload.seed)
-    memory, _allocator, store = workload.build_store()
-
-    def value_for(key: int) -> bytes:
-        return bytes([(key * 31 + i) & 0xFF
-                      for i in range(workload.request_size)])
+    memory, _, store = workload.build_store()
+    value_for = value_maker(workload.request_size)
 
     for _ in range(workload.preload):
         key = rng.randrange(1, workload.key_space)

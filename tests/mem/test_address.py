@@ -51,10 +51,3 @@ def test_check_bounds(amap):
         amap.check(amap.physical_bytes)
     with pytest.raises(AddressError):
         amap.check(-1)
-
-
-def test_iter_blocks_spanning(amap):
-    assert list(amap.iter_blocks(0, 64)) == [0]
-    assert list(amap.iter_blocks(60, 8)) == [0, 1]
-    assert list(amap.iter_blocks(0, 129)) == [0, 1, 2]
-    assert list(amap.iter_blocks(0, 0)) == []

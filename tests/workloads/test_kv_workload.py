@@ -4,7 +4,7 @@ import pytest
 
 from repro.cpu.trace import OpKind
 from repro.errors import WorkloadError
-from repro.workloads.kvstore.workload import KVWorkload, kv_trace
+from repro.workloads.kvstore.workload import KVWorkload, kv_trace, value_maker
 
 
 def test_trace_has_one_txn_per_op():
@@ -60,3 +60,13 @@ def test_deterministic_per_seed():
     a = list(kv_trace(KVWorkload(num_ops=30, preload=10, seed=9)))
     b = list(kv_trace(KVWorkload(num_ops=30, preload=10, seed=9)))
     assert a == b
+
+
+@pytest.mark.parametrize("size", [1, 16, 255, 256, 257, 1024, 4096])
+def test_values_are_the_counting_byte_pattern(size):
+    """Each value is ``key * 31 + i`` (mod 256) for i < size, whatever
+    the key, sliced from one precomputed cycle."""
+    value_for = value_maker(size)
+    for key in (0, 1, 8, 255, 256, 4095, 16383):
+        assert value_for(key) == bytes((key * 31 + i) & 0xFF
+                                       for i in range(size))

@@ -52,3 +52,18 @@ def test_counters():
     memory.read(0, 1)
     assert memory.writes == 1
     assert memory.reads == 2
+
+
+def test_negative_length_read_rejected():
+    memory = RecordingMemory(1024)
+    with pytest.raises(WorkloadError):
+        memory.read(8, -1)
+
+
+def test_u64_read_records_one_load():
+    memory = RecordingMemory(1024, work_per_access=2)
+    memory.write_u64(16, 7)
+    memory.drain_ops()
+    assert memory.read_u64(16) == 7
+    assert [tuple(op) for op in memory.drain_ops()] == [
+        (OpKind.WORK, 0, 2), (OpKind.READ, 16, 8)]
