@@ -26,7 +26,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..config import SystemConfig
 from ..stats.collector import StatsCollector
@@ -59,7 +59,7 @@ class PointResult:
 
 @dataclass
 class ProgressEvent:
-    """Fired once per finished point (in declared order)."""
+    """Fired once per finished point, in declared order, as it lands."""
 
     index: int              # 0-based position in the point list
     total: int
@@ -70,23 +70,32 @@ class ProgressEvent:
 ProgressFn = Callable[[ProgressEvent], None]
 
 
-def fan_out(worker: Callable, payloads: Sequence, jobs: int = 1) -> List:
-    """Map ``worker`` over ``payloads``, preserving payload order.
+def fan_out(worker: Callable, payloads: Sequence, jobs: int = 1) -> Iterator:
+    """Yield ``worker(payload)`` for each payload, in payload order.
 
     The generic core of this module, shared with the fuzz campaign:
     ``jobs=1`` runs inline (serial fallback, same code path),
-    ``jobs>1`` fans out over a ``ProcessPoolExecutor`` (worker and
+    ``jobs>1`` fans out over one ``ProcessPoolExecutor`` (worker and
     payloads must pickle), ``jobs<=0`` means one worker per CPU.
-    Results always come back in payload order, never completion order.
+    Results come back in payload order, never completion order, each
+    as soon as it and every result before it have finished.  A consumer
+    that stops early cancels the payloads not yet started.
     """
     payloads = list(payloads)
     if jobs <= 0:
         jobs = os.cpu_count() or 1
-    if len(payloads) > 1 and jobs > 1:
-        with ProcessPoolExecutor(
-                max_workers=min(jobs, len(payloads))) as pool:
-            return list(pool.map(worker, payloads))
-    return [worker(payload) for payload in payloads]
+    if len(payloads) <= 1 or jobs <= 1:
+        for payload in payloads:
+            yield worker(payload)
+        return
+    with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
+        futures = [pool.submit(worker, payload) for payload in payloads]
+        try:
+            for future in futures:
+                yield future.result()
+        finally:
+            for future in futures:
+                future.cancel()
 
 
 def _simulate(payload: Tuple[str, TraceSpec, SystemConfig, int]
@@ -111,16 +120,16 @@ def run_points(points: Sequence[RunPoint], jobs: int = 1,
 
     ``jobs=1`` runs inline (the serial fallback); ``jobs>1`` fans out
     over a process pool; ``jobs<=0`` uses one worker per CPU.
-    ``progress`` fires once per point, in declared order, after every
-    point has finished.
+    ``progress`` fires once per point, in declared order, as soon as
+    that point and every point before it have finished.
     """
     points = list(points)
     payloads = [(point.system, point.trace, point.config, max_events)
                 for point in points]
-    outcomes = fan_out(_simulate, payloads, jobs=jobs)
     results: List[PointResult] = []
-    for index, point in enumerate(points):
-        snapshot, wall = outcomes[index]
+    for index, (snapshot, wall) in enumerate(
+            fan_out(_simulate, payloads, jobs=jobs)):
+        point = points[index]
         result = PointResult(point=point, stats=stats_from_dict(snapshot),
                              wall_seconds=wall)
         if progress is not None:

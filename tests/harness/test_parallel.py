@@ -1,5 +1,8 @@
 """Tests for the parallel point runner (docs/HARNESS.md)."""
 
+import os
+import time
+
 import repro.harness.parallel as parallel
 from repro.config import small_test_config
 from repro.harness.parallel import RunPoint, run_points
@@ -47,3 +50,38 @@ def test_progress_events_fire_in_declared_order():
     assert [event.point.label for event in events] == ["ideal_dram",
                                                        "journal", "thynvm"]
 
+
+
+def test_progress_fires_before_the_next_point_starts(monkeypatch):
+    """Progress is streamed: each point is reported as it lands, not
+    after the whole sweep."""
+    log = []
+    simulate = parallel._simulate
+
+    def recording_simulate(payload):
+        log.append(("start", payload[0]))
+        return simulate(payload)
+
+    monkeypatch.setattr(parallel, "_simulate", recording_simulate)
+    run_points(points(), jobs=1,
+               progress=lambda event: log.append(("progress",
+                                                  event.point.system)))
+    assert log == [(kind, system)
+                   for system in ("ideal_dram", "journal", "thynvm")
+                   for kind in ("start", "progress")]
+
+
+def _mark_and_wait(path):
+    """Fan-out worker: leave a marker file, then take a while."""
+    open(path, "w").close()
+    time.sleep(0.2)
+    return path
+
+
+def test_consumer_stopping_early_cancels_pending_payloads(tmp_path):
+    paths = [str(tmp_path / f"payload-{index}") for index in range(12)]
+    results = parallel.fan_out(_mark_and_wait, paths, jobs=2)
+    assert next(results) == paths[0]
+    results.close()     # shuts the pool down, cancelling what is queued
+    started = sum(1 for path in paths if os.path.exists(path))
+    assert started < len(paths)
