@@ -51,11 +51,14 @@ Classification table (by callee terminal name):
 ``_issue_bulk_write_traffic``  when the kind is literally DRAM
 ``grow_bulk`` /           ``BULK_WRITE`` — queue-side admission of one
 ``try_enqueue_bulk``        more block of a run (tail-merge path)
+``submit`` /              unclassified (see below)
+``submit_or_wait``
 ========================  ==========================================
 
-Raw ``memctrl.submit`` is intentionally *not* classified: the commit
-record itself is written through it after the fence, and modelling it
-as a data write would make every commit look self-racing.  The bulk
+Raw ``memctrl.submit`` and its retrying form ``submit_or_wait`` are
+intentionally *not* classified: the commit record itself is written
+through ``submit_or_wait`` after the fence, and modelling either as a
+data write would make every commit look self-racing.  The bulk
 surface *is* classified, conservatively: a bulk submission whose device
 kind is not literally DRAM counts as durable even when the run is a
 read (reads and writes share ``submit_bulk``/``bulk_admit_next``), in

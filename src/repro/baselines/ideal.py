@@ -54,36 +54,18 @@ class IdealController:
                    callback: Callable[[MemoryRequest], None]) -> None:
         if self._crashed:
             raise CrashedError("read_block on a crashed controller")
-        hw_addr = self.addresses.block_align(addr)
-        request = MemoryRequest(hw_addr, False, origin, callback=callback)
-
-        def try_submit() -> None:
-            if self._crashed:
-                return
-            if not self.memctrl.submit(self.device, request):
-                self.memctrl.wait_for_slot(self.device, False, try_submit)
-
-        try_submit()
+        self.memctrl.submit_or_wait(self.device, MemoryRequest(
+            self.addresses.block_align(addr), False, origin,
+            callback=callback))
 
     def write_block(self, addr: int, origin: Origin,
                     data: Optional[bytes] = None,
                     callback=None, on_accept=None) -> None:
         if self._crashed:
             raise CrashedError("write_block on a crashed controller")
-        hw_addr = self.addresses.block_align(addr)
-        request = MemoryRequest(hw_addr, True, origin, data=data,
-                                callback=callback)
-
-        def try_submit() -> None:
-            if self._crashed:
-                return
-            if self.memctrl.submit(self.device, request):
-                if on_accept is not None:
-                    on_accept()
-            else:
-                self.memctrl.wait_for_slot(self.device, True, try_submit)
-
-        try_submit()
+        self.memctrl.submit_or_wait(self.device, MemoryRequest(
+            self.addresses.block_align(addr), True, origin, data=data,
+            callback=callback), on_accept)
 
     # --- run lifecycle ----------------------------------------------------------
 

@@ -47,8 +47,10 @@ class Cache:
 
     # --- operations -------------------------------------------------------
 
-    def lookup(self, block_addr: int, touch: bool = True) -> bool:
-        """True on hit.  ``touch`` updates recency."""
+    def lookup(self, block_addr: int, dirty: bool = False,
+               touch: bool = True) -> bool:
+        """True on hit.  ``dirty`` sets a hit block's dirty bit (a store
+        hit, in the set just found); ``touch`` updates recency."""
         block = block_addr >> self._block_shift
         num_sets = self._num_sets
         entries = self._sets.get(block % num_sets)
@@ -58,6 +60,11 @@ class Cache:
             return False
         if touch:
             entries.move_to_end(tag)
+        if dirty and not entries[tag]:
+            entries[tag] = True
+            self.dirty_count += 1
+            set_index = block % num_sets
+            self._set_dirty[set_index] = self._set_dirty.get(set_index, 0) + 1
         self.hits += 1
         return True
 

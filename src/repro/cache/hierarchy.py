@@ -67,10 +67,8 @@ class CacheHierarchy:
         if is_write:
             self._check_pressure()
         cfg = self.config
-        if self.l1.lookup(block_addr):
+        if self.l1.lookup(block_addr, is_write):
             self._hits["L1"] += 1
-            if is_write:
-                self.l1.mark_dirty(block_addr)
             self.engine.schedule(cfg.l1.hit_latency, on_done)
             return
         if self.l2.lookup(block_addr):

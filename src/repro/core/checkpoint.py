@@ -55,9 +55,10 @@ class Job:
 
 
 class _BulkCopy:
-    """Driver state for one bulk copy job: its read and write runs, plus
-    write payloads that found the destination queue full and are parked
-    (one retry waiter each, like the single-job path's ``try_write``)."""
+    """Driver state for one bulk copy job: its read run (until fully
+    admitted) and write run, plus write payloads that found the
+    destination queue full and are parked (one retry waiter each, like
+    a single copy job's write)."""
 
     __slots__ = ("job", "read", "write", "pending_data")
 
@@ -182,6 +183,9 @@ class CheckpointRun:
             if not self.memctrl.bulk_admit_next(src_kind, read):
                 return "full"
             self._outstanding += 1
+        # The run's callback holds the driver until its last block; the
+        # driver no longer needs the run, and holding it would be a cycle.
+        driver.read = None
         return None
 
     def _bulk_read_done(self, driver: _BulkCopy, _run: MemoryRequest,
@@ -191,7 +195,7 @@ class CheckpointRun:
         Blocks of a run are serviced in order (they share a bank), so
         payloads arrive — and are written — in block order.  A payload
         that finds the destination queue full parks FIFO with one retry
-        waiter, exactly like a single copy job's ``try_write``.
+        waiter, exactly like a single copy job's write.
         """
         if self._finished:
             return
@@ -241,17 +245,11 @@ class CheckpointRun:
         return accepted
 
     def _copy_read_done(self, job: Job, read_req: MemoryRequest) -> None:
-        write = MemoryRequest(
+        if self._finished:
+            return
+        self.memctrl.submit_or_wait(job.dst_kind, MemoryRequest(
             job.dst_addr, True, job.origin, data=read_req.data,
-            callback=lambda _r: self._job_done())
-
-        def try_write() -> None:
-            if self._finished:
-                return
-            if not self.memctrl.submit(job.dst_kind, write):
-                self.memctrl.wait_for_slot(job.dst_kind, True, try_write)
-
-        try_write()
+            callback=lambda _r: self._job_done()))
 
     def _job_done(self) -> None:
         if self._finished:
@@ -274,17 +272,9 @@ class CheckpointRun:
         if self._finished:
             return
         probes.notify("commit-write")
-        request = MemoryRequest(
+        self.memctrl.submit_or_wait(DeviceKind.NVM, MemoryRequest(
             self.commit_addr, True, Origin.CHECKPOINT,
-            callback=lambda _r: self._committed())
-
-        def try_write() -> None:
-            if self._finished:
-                return
-            if not self.memctrl.submit(DeviceKind.NVM, request):
-                self.memctrl.wait_for_slot(DeviceKind.NVM, True, try_write)
-
-        try_write()
+            callback=lambda _r: self._committed()))
 
     def _committed(self) -> None:
         if self._finished:
@@ -302,6 +292,12 @@ class CheckpointRun:
     def abort(self) -> None:
         """Crash handling: silence all future callbacks from this run."""
         self._finished = True
+        # Drop the work that would call back into this run, and a bulk
+        # copy's half-admitted read run, whose callback holds the copy.
+        for job in self._pending:
+            if isinstance(job, _BulkCopy):
+                job.read = None
+        self._pending = []
 
     @property
     def duration(self) -> Optional[int]:

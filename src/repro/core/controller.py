@@ -420,14 +420,9 @@ class ThyNVMController(EpochController):
             # past the commit fence).
             self._migration_unserviced += 1
             request.callback = self._migration_serviced
-
-        def try_submit() -> None:
-            if self._crashed:
-                return
-            if not self.memctrl.submit(kind, request):
-                self.memctrl.wait_for_slot(kind, is_write, try_submit)
-
-        try_submit()
+        if self._crashed:
+            return
+        self.memctrl.submit_or_wait(kind, request)
 
     def _migration_serviced(self, _request: MemoryRequest) -> None:
         self._migration_unserviced -= 1

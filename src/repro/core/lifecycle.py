@@ -119,15 +119,17 @@ class EpochController:
             raise CrashedError("read_block on a crashed controller")
         block = self.addresses.block_index(addr)
         kind, hw_addr = self._read_location(block)
+        self.engine.schedule(self.config.table_lookup_latency,
+                             self._submit_read, kind, hw_addr, origin,
+                             callback)
 
-        def issue() -> None:
-            if self._crashed:
-                return
-            request = MemoryRequest(hw_addr, False, origin, callback=callback)
-            if not self.memctrl.submit(kind, request):
-                self.memctrl.wait_for_slot(kind, False, issue)
-
-        self.engine.schedule(self.config.table_lookup_latency, issue)
+    def _submit_read(self, kind: DeviceKind, hw_addr: int, origin: Origin,
+                     callback: Callable[[MemoryRequest], None]) -> None:
+        """The load, once the table lookup has taken its cycles."""
+        if self._crashed:
+            return
+        self.memctrl.submit_or_wait(
+            kind, MemoryRequest(hw_addr, False, origin, callback=callback))
 
     def write_block(self, addr: int, origin: Origin,
                     data: Optional[bytes] = None,
@@ -154,19 +156,11 @@ class EpochController:
 
     def _issue_write(self, kind: DeviceKind, hw_addr: int, origin: Origin,
                      data, callback, on_accept=None) -> None:
-        request = MemoryRequest(hw_addr, True, origin, data=data,
-                                callback=callback)
-
-        def try_submit() -> None:
-            if self._crashed:
-                return
-            if self.memctrl.submit(kind, request):
-                if on_accept is not None:
-                    on_accept()
-            else:
-                self.memctrl.wait_for_slot(kind, True, try_submit)
-
-        try_submit()
+        if self._crashed:
+            return
+        self.memctrl.submit_or_wait(
+            kind, MemoryRequest(hw_addr, True, origin, data=data,
+                                callback=callback), on_accept)
 
     def _park_write(self, addr: int, origin: Origin, data, callback,
                     on_accept) -> None:

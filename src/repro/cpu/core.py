@@ -103,7 +103,7 @@ class Core:
         kind = op[0]
         if kind is _WORK:
             self.stats.instructions += op[2]
-            self.state.advance()
+            self.state.version += 1           # CpuState.advance, inlined
             self.engine.schedule(op[2], self._step)
         elif kind is _TXN:
             self.stats.transactions += 1
@@ -122,7 +122,7 @@ class Core:
                 self.persist_port(self._persist_done)
         else:
             self.stats.instructions += 1
-            self.state.advance()
+            self.state.version += 1
             size = op[2]
             if size <= 0:
                 # Touches no block, yet still retires one cycle later.

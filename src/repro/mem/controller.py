@@ -176,6 +176,26 @@ class MemoryController:
         self._kick_admit(state, request.bank)
         return True
 
+    def submit_or_wait(self, kind: DeviceKind, request: MemoryRequest,
+                       on_accept: Optional[Callable[[], None]] = None
+                       ) -> None:
+        """Submit ``request``; on a full queue, retry at the next freed
+        slot, with the same request, until it is accepted.
+
+        ``on_accept`` fires once, on acceptance.  The waiter is a partial
+        over this bound method, never a closure that names itself, so a
+        waiting request forms no reference cycle.  Returns at once after
+        :meth:`crash`, which also drops every waiter.
+        """
+        if self.crashed:
+            return
+        if self.submit(kind, request):
+            if on_accept is not None:
+                on_accept()
+        else:
+            self.wait_for_slot(kind, request.is_write, partial(
+                self.submit_or_wait, kind, request, on_accept))
+
     def submit_bulk(self, kind: DeviceKind, request: MemoryRequest) -> bool:
         """Accept a bulk run and drive it to full admission.
 

@@ -136,6 +136,87 @@ def test_submit_after_crash_rejected(setup):
     assert controller.submit(DeviceKind.NVM, _write(0))
 
 
+def _fill_nvm_write_queue(controller):
+    """Submit writes until the NVM write queue refuses one."""
+    addr = 0
+    while controller.submit(DeviceKind.NVM, _write(addr)):
+        addr += 64
+
+
+def test_submit_or_wait_accepts_at_once(setup):
+    engine, controller, _stats, _cfg = setup
+    accepted = []
+    request = _write(0)
+    controller.submit_or_wait(DeviceKind.NVM, request,
+                              on_accept=lambda: accepted.append(engine.now))
+    assert accepted == [0]          # synchronously, before any event
+    assert request.issue_time == 0
+    engine.run_until_idle()
+    assert accepted == [0]
+    assert request.complete_time is not None
+
+
+def test_submit_or_wait_admits_at_freed_slots_in_wait_order(setup):
+    """On a full queue each request takes the next freed slot, after
+    the waiters registered before it, and ``on_accept`` fires then."""
+    engine, controller, _stats, cfg = setup
+    _fill_nvm_write_queue(controller)
+    accepted = []
+
+    def on_accept(name, request):
+        # The request took the slot that just freed: the queue is full
+        # again, and the request was stamped in the same cycle.
+        assert controller.queue_depth(DeviceKind.NVM, True) \
+            == cfg.write_queue_entries
+        assert request.issue_time == engine.now
+        accepted.append(name)
+
+    first, second = _write(cfg.row_bytes), _write(2 * cfg.row_bytes)
+    controller.submit_or_wait(DeviceKind.NVM, first,
+                              on_accept=lambda: on_accept("first", first))
+    controller.submit_or_wait(DeviceKind.NVM, second,
+                              on_accept=lambda: on_accept("second", second))
+    assert accepted == []
+    assert first.issue_time is None and second.issue_time is None
+    engine.run_until_idle()
+    assert accepted == ["first", "second"]
+    assert first.issue_time <= second.issue_time
+    assert first.complete_time is not None
+    assert second.complete_time is not None
+
+
+def test_submit_or_wait_on_crashed_controller_does_nothing(setup):
+    engine, controller, _stats, _cfg = setup
+    controller.crash()
+    accepted = []
+    request = _write(0)
+    controller.submit_or_wait(DeviceKind.NVM, request,
+                              on_accept=lambda: accepted.append(1))
+    assert request.issue_time is None
+    assert controller.requests_issued == 0
+    # No waiter either: once powered on, freed slots wake nothing.
+    controller.power_on()
+    _fill_nvm_write_queue(controller)
+    engine.run_until_idle()
+    assert accepted == []
+    assert request.issue_time is None and request.complete_time is None
+
+
+def test_submit_or_wait_waiter_does_not_survive_crash(setup):
+    engine, controller, _stats, _cfg = setup
+    _fill_nvm_write_queue(controller)
+    accepted = []
+    request = _write(0)
+    controller.submit_or_wait(DeviceKind.NVM, request,
+                              on_accept=lambda: accepted.append(1))
+    controller.crash()
+    controller.power_on()
+    _fill_nvm_write_queue(controller)
+    engine.run_until_idle()
+    assert accepted == []
+    assert request.issue_time is None and request.complete_time is None
+
+
 def test_idle_tracking(setup):
     engine, controller, _stats, _cfg = setup
     assert controller.idle
