@@ -130,18 +130,29 @@ class ModelExtractionCheck(Rule):
     family = "verify"
     severity = Severity.WARNING
     description = ("A protocol fact could not be statically extracted; "
-                   "the verifier explored pessimistic alternatives.")
+                   "the verifier explored pessimistic alternatives, or "
+                   "skipped the systems an unreadable plan serves.")
     rationale = (
         "The abstract machines are parameterized by facts read from "
-        "the protocol sources (stage destination regions, promotion "
-        "policy, journal stage order). When extraction cannot classify "
-        "an expression it fans the exploration out over every "
-        "candidate behaviour, which keeps the verdict sound but can "
-        "surface counterexamples for worlds the code never enters — "
-        "and it means a refactor moved code the verifier reads. Keep "
-        "the extraction anchors (see docs/VERIFY.md) in sync.")
-    example_bad = ("dst_region = pick_region(entry)  # opaque helper\n")
-    example_good = ("dst_region = other_region(entry.stable_region)\n")
+        "the protocol sources: each system's declared CHECKPOINT_PLAN "
+        "(stage order, roles, destination rules), the promotion and "
+        "adoption policies and the queue's bulk service order. When a "
+        "policy expression cannot be classified the exploration fans "
+        "out over every candidate behaviour, which keeps the verdict "
+        "sound but can surface counterexamples for worlds the code "
+        "never enters. A plan that is missing, malformed or names a "
+        "role its machine does not model is not explored at all. "
+        "Either way a refactor moved something the verifier reads; "
+        "keep the declarations and anchors (see docs/VERIFY.md) in "
+        "sync.")
+    example_bad = ("CHECKPOINT_PLAN = [(role, dest) for role, dest "
+                   "in STAGES]  # not a literal\n")
+    example_good = ("CHECKPOINT_PLAN = (\n"
+                    "    (\"temp\", Dest.COMPLEMENT),\n"
+                    "    (\"btt\", Dest.BACKUP),\n"
+                    "    (\"page\", Dest.COMPLEMENT),\n"
+                    "    (\"ptt\", Dest.BACKUP),\n"
+                    ")\n")
 
 
 def render_check_explain(check_id: str) -> str:

@@ -8,21 +8,17 @@ fact the extraction cannot pin down.  The facts are:
 * the epoch phase graph and the per-block protocol-state graph (the
   same ``PHASE_TRANSITIONS``/``ALLOWED_TRANSITIONS`` literals the lint
   rules check, via :mod:`repro.analysis.graphs`);
-* the checkpoint stage list of ``ThyNVMController._plan_checkpoint``
-  (order, table vs data stages) and the destination-region expression
-  of every data stage — ``other_region(entry.stable_region)`` is the
-  safe complement discipline; a constant or a bare ``stable_region``
-  read is not;
+* each system's checkpoint plan, read from the ``CHECKPOINT_PLAN``
+  literal its planner walks (ThyNVM ``temp → btt → page → ptt``,
+  journaling ``cpu → log → home``, shadow paging ``cpu → page``):
+  every stage's role and :class:`~repro.core.checkpoint.Dest` rule, in
+  runtime stage order.  Nothing is guessed from planner bodies; a
+  missing or malformed literal, or one whose roles the machines do not
+  model, leaves that plan unverified and is a finding;
 * the initial-stable-region policy of page promotion
   (``_promote_page``/``_promotion_region``) and page adoption
   (``_adopt_page``) — safe only when derived from where the committed
   copies live, with promotion additionally deferring mixed-region pages;
-* the journaling baseline's stage order (log before in-place home
-  writes) and which completed stage makes the log durable;
-* the shadow baseline's flush target (complement of the committed
-  region);
-* whether the stop-the-world base class prepends a CPU-state stage
-  (it shifts every runtime ``stage-done`` index by one);
 * the bounded queue's bulk in-order service discipline — a run's
   ``serviced`` cursor must advance monotonically (``+= 1``) off a FIFO
   ``pending.popleft()``; anything else means a fence can report a run
@@ -52,8 +48,8 @@ REGION_NAMES = {"REGION_A": "A", "REGION_B": "B"}
 PROTOCOL_FILES = (
     "core/epoch.py",
     "core/versions.py",
+    "core/checkpoint.py",
     "core/controller.py",
-    "baselines/base.py",
     "baselines/journaling.py",
     "baselines/shadow.py",
     "sim/queueing.py",
@@ -68,19 +64,26 @@ class Anchor:
     line: int
 
 
+#: The declared checkpoint plans: plan -> (source, {role: is-data}),
+#: naming every stage role the abstract machines model.  A data stage
+#: writes protected objects; any other stage writes the Backup Region.
+#: The ``thynvm`` plan serves all three ThyNVM variants.
+PLAN_SOURCES: Dict[str, Tuple[str, Dict[str, bool]]] = {
+    "thynvm": ("core/controller.py",
+               {"temp": True, "btt": False, "page": True, "ptt": False}),
+    "journal": ("baselines/journaling.py",
+                {"cpu": False, "log": True, "home": True}),
+    "shadow": ("baselines/shadow.py", {"cpu": False, "page": True}),
+}
+
+
 @dataclass(frozen=True)
-class RegionChoice:
-    """Classification of one destination-region expression.
+class DeclaredStage:
+    """One stage of a declared checkpoint plan: its role, its ``Dest``
+    member name and the line declaring it."""
 
-    ``kind`` is one of ``other-of-stable`` / ``stable`` /
-    ``other-of-committed`` / ``committed`` / ``constant:A`` /
-    ``constant:B`` / ``unknown``.  ``base`` is the variable the
-    ``.stable_region`` read hangs off (``entry``/``pe``), used to tell
-    the temp stage from the writeback stage.
-    """
-
-    kind: str
-    base: str
+    role: str
+    dest: str
     anchor: Anchor
 
 
@@ -114,18 +117,11 @@ class ProtocolFacts:
     state_members: List[str] = field(default_factory=list)
     state_graph: Optional[TransitionGraph] = None
 
-    # ThyNVM checkpoint plan: role per stage, in return order.  Roles:
-    # "data:<base>" (a copy stage; <base> is entry/pe) or "table:<name>".
-    thynvm_stage_roles: List[str] = field(default_factory=list)
-    thynvm_stage_choices: Dict[str, RegionChoice] = field(
-        default_factory=dict)               # role -> region choice
+    # Declared checkpoint plans by PLAN_SOURCES key, in stage order;
+    # a plan that does not extract is absent.
+    plans: Dict[str, List[DeclaredStage]] = field(default_factory=dict)
     promotion: Optional[RegionPolicy] = None
     adoption: Optional[RegionPolicy] = None
-
-    journal_stage_roles: List[str] = field(default_factory=list)  # log/home
-    journal_capture_stage: Optional[int] = None   # runtime stage index
-    shadow_flush: Optional[RegionChoice] = None
-    cpu_stage_prepended: bool = True
     # Bulk runs: True when the queue's serviced cursor provably advances
     # one block at a time in FIFO order (so the fence accounting's
     # in-flight window is exact and no run block can outlive the fence).
@@ -167,30 +163,6 @@ def _constant_region(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Name) and node.id in REGION_NAMES:
         return REGION_NAMES[node.id]
     return None
-
-
-def classify_region_expr(expr: ast.AST, path: str) -> RegionChoice:
-    """Classify a destination-region expression (see RegionChoice)."""
-    anchor = Anchor(path, getattr(expr, "lineno", 1))
-    constant = _constant_region(expr)
-    if constant is not None:
-        return RegionChoice(f"constant:{constant}", "", anchor)
-    if (isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name)
-            and expr.func.id == "other_region" and len(expr.args) == 1):
-        inner = expr.args[0]
-        if (isinstance(inner, ast.Attribute)
-                and inner.attr == "stable_region"
-                and isinstance(inner.value, ast.Name)):
-            return RegionChoice("other-of-stable", inner.value.id, anchor)
-        if _is_self_call(inner, "_committed_region"):
-            return RegionChoice("other-of-committed", "", anchor)
-        return RegionChoice("unknown", "", anchor)
-    if (isinstance(expr, ast.Attribute) and expr.attr == "stable_region"
-            and isinstance(expr.value, ast.Name)):
-        return RegionChoice("stable", expr.value.id, anchor)
-    if _is_self_call(expr, "_committed_region"):
-        return RegionChoice("committed", "", anchor)
-    return RegionChoice("unknown", "", anchor)
 
 
 def _mentions(tree: ast.AST, names: Tuple[str, ...]) -> bool:
@@ -236,87 +208,60 @@ def _extract_graphs(facts: ProtocolFacts, epoch_tree: ast.Module,
                  "edges cannot be certified")
 
 
-def _table_role(call: ast.Call) -> Optional[str]:
-    """``self._table_persist_jobs(self.btt, ...)`` -> ``"table:btt"``."""
-    if not _is_self_call(call, "_table_persist_jobs") or not call.args:
-        return None
-    first = call.args[0]
-    if isinstance(first, ast.Attribute):
-        return f"table:{first.attr}"
-    return "table:?"
+def _read_plan(tree: ast.Module, path: str, dests: List[str],
+               ) -> Tuple[Optional[List[DeclaredStage]], int]:
+    """The module-level ``CHECKPOINT_PLAN = ((role, Dest.MEMBER), ...)``
+    literal, and its line; ``None`` when absent or of another shape."""
+    for node in tree.body:
+        if not (isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "CHECKPOINT_PLAN"
+                for t in node.targets)):
+            continue
+        if not isinstance(node.value, (ast.Tuple, ast.List)):
+            return None, node.lineno
+        stages: List[DeclaredStage] = []
+        for elt in node.value.elts:
+            if not (isinstance(elt, ast.Tuple) and len(elt.elts) == 2):
+                return None, elt.lineno
+            role, dest = elt.elts
+            if not (isinstance(role, ast.Constant)
+                    and isinstance(role.value, str)
+                    and isinstance(dest, ast.Attribute)
+                    and isinstance(dest.value, ast.Name)
+                    and dest.value.id == "Dest" and dest.attr in dests):
+                return None, elt.lineno
+            stages.append(DeclaredStage(role.value, dest.attr,
+                                        Anchor(path, elt.lineno)))
+        return stages, node.lineno
+    return None, 1
 
 
-def _extract_plan_checkpoint(facts: ProtocolFacts,
-                             controller_tree: ast.Module) -> None:
-    path = "core/controller.py"
-    cls = _find_class(controller_tree, "ThyNVMController")
-    func = _find_method(cls, "_plan_checkpoint")
-    if func is None:
-        _warning(facts, path, 1,
-                 "_plan_checkpoint not found; assuming the canonical "
-                 "4-stage plan with unverified stage targets")
-        facts.thynvm_stage_roles = ["data:entry", "table:btt",
-                                    "data:pe", "table:ptt"]
-        for role in ("data:entry", "data:pe"):
-            facts.thynvm_stage_choices[role] = RegionChoice(
-                "unknown", "", Anchor(path, 1))
-        return
-
-    table_stages: Dict[str, str] = {}       # local name -> role
-    data_choices: Dict[str, RegionChoice] = {}   # local name -> choice
-    for node in func.body:
-        if (isinstance(node, ast.Assign) and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and isinstance(node.value, ast.Call)):
-            role = _table_role(node.value)
-            if role is not None:
-                table_stages[node.targets[0].id] = role
-    for loop in (n for n in ast.walk(func) if isinstance(n, ast.For)):
-        appended = {
-            call.func.value.id
-            for call in ast.walk(loop)
-            if isinstance(call, ast.Call)
-            and isinstance(call.func, ast.Attribute)
-            and call.func.attr == "append"
-            and isinstance(call.func.value, ast.Name)}
-        choices: List[RegionChoice] = []
-        for node in ast.walk(loop):
-            if (isinstance(node, ast.Assign) and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name)):
-                choice = classify_region_expr(node.value, path)
-                if choice.kind != "unknown":
-                    choices.append(choice)
-        if len(appended) == 1 and len(choices) == 1:
-            data_choices[next(iter(appended))] = choices[0]
-
-    returned: List[str] = []
-    for node in ast.walk(func):
-        if (isinstance(node, ast.Return)
-                and isinstance(node.value, ast.List)):
-            returned = [elt.id for elt in node.value.elts
-                        if isinstance(elt, ast.Name)]
-    if not returned:
-        _warning(facts, path, func.lineno,
-                 "_plan_checkpoint has no literal stage-list return; "
-                 "assuming the canonical 4-stage order")
-        returned = ["stage1", "stage2", "stage3", "stage4"]
-
-    for name in returned:
-        if name in table_stages:
-            facts.thynvm_stage_roles.append(table_stages[name])
-        elif name in data_choices:
-            choice = data_choices[name]
-            role = f"data:{choice.base or name}"
-            facts.thynvm_stage_roles.append(role)
-            facts.thynvm_stage_choices[role] = choice
+def _extract_plans(facts: ProtocolFacts,
+                   trees: Dict[str, ast.Module]) -> None:
+    checkpoint = trees.get("core/checkpoint.py")
+    dests = (extract_enum_members(checkpoint, "Dest")
+             if checkpoint is not None else [])
+    for name, (path, modeled) in PLAN_SOURCES.items():
+        tree = trees.get(path)
+        if tree is None:
+            continue            # the missing source is already a finding
+        stages, line = _read_plan(tree, path, dests)
+        if stages is None:
+            problem = ("no CHECKPOINT_PLAN literal of (role, Dest.MEMBER) "
+                       "pairs")
+        elif sorted(stage.role for stage in stages) != sorted(modeled):
+            problem = (f"CHECKPOINT_PLAN roles "
+                       f"{[stage.role for stage in stages]} differ from the "
+                       f"modelled {sorted(modeled)}")
+        elif any((stage.dest == "BACKUP") == modeled[stage.role]
+                 for stage in stages):
+            problem = ("CHECKPOINT_PLAN aims a data stage at Dest.BACKUP, "
+                       "or a table/CPU-state stage elsewhere")
         else:
-            role = f"data:{name}"
-            facts.thynvm_stage_roles.append(role)
-            facts.thynvm_stage_choices[role] = RegionChoice(
-                "unknown", "", Anchor(path, func.lineno))
-            _warning(facts, path, func.lineno,
-                     f"checkpoint stage {name!r}: destination region "
-                     f"not extractable; exploring both regions")
+            facts.plans[name] = stages
+            continue
+        _warning(facts, path, line,
+                 f"{problem}; the {name} checkpoint plan is not verified")
 
 
 def _creation_region_expr(func: ast.FunctionDef,
@@ -407,91 +352,6 @@ def _extract_region_policies(facts: ProtocolFacts,
             "unknown", False, facts.promotion.anchor)
 
 
-def _journal_job_role(comp: ast.AST) -> Optional[str]:
-    """Classify a Job list comprehension by its dst_addr call."""
-    for node in ast.walk(comp):
-        if not isinstance(node, ast.Call):
-            continue
-        if not isinstance(node.func, ast.Attribute):
-            continue
-        if node.func.attr == "_journal_nvm_addr":
-            return "log"
-        if node.func.attr == "home_block_addr":
-            return "home"
-    return None
-
-
-def _extract_journal(facts: ProtocolFacts, tree: ast.Module) -> None:
-    path = "baselines/journaling.py"
-    cls = _find_class(tree, "JournalingController")
-    func = _find_method(cls, "_checkpoint_stages")
-    if func is None:
-        _warning(facts, path, 1,
-                 "journal _checkpoint_stages not found; assuming "
-                 "log-then-home order cannot be certified")
-        facts.journal_stage_roles = ["?", "?"]
-        return
-    roles: Dict[str, str] = {}
-    for node in ast.walk(func):
-        if (isinstance(node, ast.Assign) and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)):
-            role = _journal_job_role(node.value)
-            if role is not None:
-                roles[node.targets[0].id] = role
-    for node in ast.walk(func):
-        if (isinstance(node, ast.Return)
-                and isinstance(node.value, ast.List)):
-            facts.journal_stage_roles = [
-                roles.get(elt.id, "?") for elt in node.value.elts
-                if isinstance(elt, ast.Name)]
-    if not facts.journal_stage_roles:
-        _warning(facts, path, func.lineno,
-                 "journal stage order not extractable")
-        facts.journal_stage_roles = ["?", "?"]
-
-    capture = _find_method(cls, "_on_ckpt_stage")
-    if capture is not None:
-        for node in ast.walk(capture):
-            if (isinstance(node, ast.If)
-                    and isinstance(node.test, ast.Compare)
-                    and len(node.test.comparators) == 1
-                    and isinstance(node.test.comparators[0], ast.Constant)
-                    and any(_is_self_call(c, "_capture_log")
-                            for c in ast.walk(node))):
-                value = node.test.comparators[0].value
-                if isinstance(value, int):
-                    facts.journal_capture_stage = value
-    if facts.journal_capture_stage is None:
-        _warning(facts, path,
-                 capture.lineno if capture is not None else 1,
-                 "journal log-durability capture stage not "
-                 "extractable; treating the log as never durable")
-
-
-def _extract_shadow(facts: ProtocolFacts, tree: ast.Module) -> None:
-    path = "baselines/shadow.py"
-    cls = _find_class(tree, "ShadowPagingController")
-    func = _find_method(cls, "_checkpoint_stages")
-    if func is None:
-        _warning(facts, path, 1,
-                 "shadow _checkpoint_stages not found; flush target "
-                 "unverified")
-        facts.shadow_flush = RegionChoice("unknown", "", Anchor(path, 1))
-        return
-    for node in ast.walk(func):
-        if (isinstance(node, ast.Assign) and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)):
-            choice = classify_region_expr(node.value, path)
-            if choice.kind != "unknown":
-                facts.shadow_flush = choice
-    if facts.shadow_flush is None:
-        _warning(facts, path, func.lineno,
-                 "shadow flush destination region not extractable; "
-                 "exploring both regions")
-        facts.shadow_flush = RegionChoice("unknown", "",
-                                          Anchor(path, func.lineno))
-
-
 def _extract_bulk_inorder(facts: ProtocolFacts, tree: ast.Module) -> None:
     """Certify the bulk run service discipline of the bounded queue.
 
@@ -541,29 +401,6 @@ def _extract_bulk_inorder(facts: ProtocolFacts, tree: ast.Module) -> None:
              "straggler world where a run block outlives the fence")
 
 
-def _extract_base(facts: ProtocolFacts, tree: ast.Module) -> None:
-    path = "baselines/base.py"
-    cls = _find_class(tree, "StopTheWorldController")
-    func = _find_method(cls, "_boundary_done")
-    prepended = None
-    if func is not None:
-        for node in ast.walk(func):
-            if (isinstance(node, ast.BinOp)
-                    and isinstance(node.op, ast.Add)
-                    and isinstance(node.left, ast.List)
-                    and any(_is_self_call(c, "_cpu_state_jobs")
-                            for c in ast.walk(node.left))):
-                prepended = True
-    if prepended is None:
-        _warning(facts, path,
-                 func.lineno if func is not None else 1,
-                 "CPU-state stage prepend not extractable; assuming "
-                 "stage indices start at the subclass stages")
-        facts.cpu_stage_prepended = False
-    else:
-        facts.cpu_stage_prepended = True
-
-
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
@@ -589,15 +426,9 @@ def extract_facts(root: Optional[Path] = None) -> ProtocolFacts:
     if "core/epoch.py" in trees and "core/versions.py" in trees:
         _extract_graphs(facts, trees["core/epoch.py"],
                         trees["core/versions.py"])
+    _extract_plans(facts, trees)
     if "core/controller.py" in trees:
-        _extract_plan_checkpoint(facts, trees["core/controller.py"])
         _extract_region_policies(facts, trees["core/controller.py"])
-    if "baselines/journaling.py" in trees:
-        _extract_journal(facts, trees["baselines/journaling.py"])
-    if "baselines/shadow.py" in trees:
-        _extract_shadow(facts, trees["baselines/shadow.py"])
-    if "baselines/base.py" in trees:
-        _extract_base(facts, trees["baselines/base.py"])
     if "sim/queueing.py" in trees:
         _extract_bulk_inorder(facts, trees["sim/queueing.py"])
     return facts

@@ -5,24 +5,26 @@ the fuzz driver's epoch structure (write -> settle -> forced boundary
 -> commit, :mod:`repro.fuzz.runner`) against representative abstract
 objects, emitting exactly the probe events the runtime fires along the
 way — the emission sequence is pinned to the fuzzer's site census by
-test.  The *safety-relevant choices* (where a checkpoint stage writes,
-which region a promoted page calls stable, whether the journal's log
-persists before its in-place writes) are not hard-coded: they come
-from :class:`~.extract.ProtocolFacts`, and every fact extraction could
-not resolve fans the build out into one pessimistic world per
+test.  The *safety-relevant choices* are not hard-coded: each
+checkpoint's stages, their order and where each writes come from the
+system's declared ``CHECKPOINT_PLAN`` (a plan that did not extract is
+not explored), and which region a promoted page calls stable comes
+from :class:`~.extract.ProtocolFacts`, where every policy extraction
+could not resolve fans the build out into one pessimistic world per
 candidate behaviour.
 
 Trusted (not extracted) disciplines, i.e. the soundness boundary —
 see docs/VERIFY.md: write-queue drain before boundaries, demotion's
 complement-region copy, commit-record atomicity via torn detection,
-and DRAM volatility.  All four are fuzzed at runtime.
+and DRAM volatility, all four fuzzed at runtime; and that each planner
+writes what its plan declares, which a tier-1 property test checks.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .extract import ProtocolFacts, RegionChoice, RegionPolicy
+from .extract import DeclaredStage, ProtocolFacts, RegionPolicy
 from .model import (IMG, TORN, AbstractState, Emission, Exploration,
                     RecoveryCheck, Trace, TraceBuilder, explore)
 
@@ -67,56 +69,29 @@ def _policy_regions(policy: Optional[RegionPolicy], derived: str,
             for region in _REGIONS]
 
 
-def _choice_modes(choice: Optional[RegionChoice], safe: str,
-                  what: str) -> List[Tuple[str, str]]:
-    """Candidate (mode, assumption) pairs for a stage destination.
-
-    Modes: ``other`` (complement of the current stable/committed
-    region — the safe ping-pong discipline), ``same`` (that region
-    itself), or a pinned concrete region.
-    """
-    if choice is None or choice.kind == "unknown":
-        return [(mode, f"{what} unresolved; assuming {mode} region")
-                for mode in ("other", "same")]
-    if choice.kind == safe:
-        return [("other", "")]
-    if choice.kind.startswith("constant:"):
-        region = choice.kind.split(":", 1)[1]
-        return [(region, f"{what} pinned to region {region} "
-                         f"({choice.anchor.path}:{choice.anchor.line})")]
-    # "stable"/"committed": writes the region recovery reads.
-    return [("same", f"{what} targets the committed region "
-                     f"({choice.anchor.path}:{choice.anchor.line})")]
+def _land(dest: str, committed: str, home: str = "B") -> str:
+    """Where a declared ``Dest`` rule sends an object whose committed
+    copy is at ``committed`` (region B is the Home Region)."""
+    if dest == "COMPLEMENT":
+        return _other(committed)
+    if dest == "COMMITTED":
+        return committed
+    if dest == "HOME":
+        return home
+    return "log"            # Dest.LOG
 
 
-def _resolve(mode: str, stable: str) -> str:
-    if mode == "other":
-        return _other(stable)
-    if mode == "same":
-        return stable
-    return mode            # pinned concrete region
+def _at(stage: DeclaredStage) -> Tuple[str, int]:
+    return (stage.anchor.path, stage.anchor.line)
 
 
-def _join(*assumptions: str) -> str:
-    return "; ".join(a for a in assumptions if a)
+def _role_index(plan: List[DeclaredStage], role: str) -> int:
+    return [stage.role for stage in plan].index(role)
 
 
 # ---------------------------------------------------------------------------
 # Shared trace fragments
 # ---------------------------------------------------------------------------
-
-def _writeback_role(facts: ProtocolFacts) -> Optional[str]:
-    """The data stage after the BTT table stage is the page writeback."""
-    roles = facts.thynvm_stage_roles
-    try:
-        btt_at = roles.index("table:btt")
-    except ValueError:
-        btt_at = -1
-    for index, role in enumerate(roles):
-        if role.startswith("data:") and index > btt_at:
-            return role
-    return None
-
 
 def _checkpoint(b: TraceBuilder, *, boundary: int,
                 tables: Tuple[str, ...],
@@ -183,7 +158,7 @@ def _commit(b: TraceBuilder, boundary: int,
 # ---------------------------------------------------------------------------
 
 def _thynvm_block_trace(system: str, workload: str, epochs: int,
-                        facts: ProtocolFacts) -> TraceBuilder:
+                        plan: List[DeclaredStage]) -> TraceBuilder:
     """Block-remapping flow: every write is block-grain, in place in
     NVM at the complement of the BTT entry's stable region (fresh
     entries call region B stable), and commit flips stable."""
@@ -199,7 +174,7 @@ def _thynvm_block_trace(system: str, workload: str, epochs: int,
         b.boundaries = boundary
         b.object_state("blk", "NVM_CHECKPOINTING")
         _checkpoint(b, boundary=boundary, tables=("btt",),
-                    stage_writes={}, stages=4)
+                    stage_writes={}, stages=len(plan))
         stable = _other(stable)
         b.object_state("blk", "CLEAN")
         _commit(b, boundary, {"blk": (stable, b.epoch)})
@@ -208,143 +183,124 @@ def _thynvm_block_trace(system: str, workload: str, epochs: int,
     return b
 
 
-def _thynvm_hotpage_traces(epochs: int,
-                           facts: ProtocolFacts) -> Iterator[TraceBuilder]:
+def _thynvm_hotpage_traces(epochs: int, facts: ProtocolFacts,
+                           plan: List[DeclaredStage]
+                           ) -> Iterator[TraceBuilder]:
     """Hybrid flow under the hot-page workload: epoch 0 writes the hot
     page block-grain; the first commit promotes it to page grain; later
-    epochs buffer writes in DRAM and the checkpoint's writeback stage
-    copies them to its destination region."""
-    wb_role = _writeback_role(facts)
-    wb_choice = (facts.thynvm_stage_choices.get(wb_role)
-                 if wb_role is not None else None)
-    wb_index = (facts.thynvm_stage_roles.index(wb_role)
-                if wb_role in facts.thynvm_stage_roles else 2)
-    stages = max(4, len(facts.thynvm_stage_roles))
+    epochs buffer writes in DRAM and the checkpoint's declared ``page``
+    stage copies them where its rule says."""
+    wb_index = _role_index(plan, "page")
+    writeback = plan[wb_index]
     block_stable = "B"           # fresh BTT entries call region B stable
     committed_at = _other(block_stable)   # after the first commit flip
     for promo_region, promo_why in _policy_regions(
             facts.promotion, derived=committed_at,
             what="page-promotion stable region"):
-        for wb_mode, wb_why in _choice_modes(
-                wb_choice, safe="other-of-stable",
-                what="page-writeback destination"):
-            b = TraceBuilder("thynvm", "hotpage",
-                             _join(promo_why, wb_why))
-            b.object_state("hot", "HOME")
-            b.object_state("hot", "NVM_WORKING")
-            b.step("epoch-0:write-blocks",
-                   writes=(("hot", _other(block_stable), (IMG, 0)),),
-                   persist=True)
-            b.boundaries = 1
-            b.object_state("hot", "NVM_CHECKPOINTING")
-            _checkpoint(b, boundary=1, tables=("btt",),
-                        stage_writes={}, stages=stages)
+        b = TraceBuilder("thynvm", "hotpage", promo_why)
+        b.object_state("hot", "HOME")
+        b.object_state("hot", "NVM_WORKING")
+        b.step("epoch-0:write-blocks",
+               writes=(("hot", _other(block_stable), (IMG, 0)),),
+               persist=True)
+        b.boundaries = 1
+        b.object_state("hot", "NVM_CHECKPOINTING")
+        _checkpoint(b, boundary=1, tables=("btt",),
+                    stage_writes={}, stages=len(plan))
+        b.object_state("hot", "CLEAN")
+        promo_anchor = (facts.promotion.anchor.path,
+                        facts.promotion.anchor.line) \
+            if facts.promotion is not None else None
+        _commit(b, 1, {"hot": (committed_at, 0)},
+                pre_steps=(("promote", Emission("promote"),
+                            promo_anchor),))
+        page_stable = promo_region
+        for _ in range(1, epochs):
+            boundary = b.boundaries + 1
+            b.object_state("hot", "DRAM_TEMP")
+            b.step(f"epoch-{b.epoch}:write-page-dram",
+                   writes=(("hot", "dram", (IMG, b.epoch)),))
+            b.boundaries = boundary
+            b.object_state("hot", "DRAM_CHECKPOINTING")
+            dst = _land(writeback.dest, page_stable)
+            _checkpoint(b, boundary=boundary, tables=("btt", "ptt"),
+                        stage_writes={
+                            wb_index: (("hot", dst, (IMG, b.epoch)),)},
+                        stages=len(plan),
+                        stage_anchors={wb_index: _at(writeback)})
+            page_stable = dst
             b.object_state("hot", "CLEAN")
-            promo_anchor = (facts.promotion.anchor.path,
-                            facts.promotion.anchor.line) \
-                if facts.promotion is not None else None
-            _commit(b, 1, {"hot": (committed_at, 0)},
-                    pre_steps=(("promote", Emission("promote"),
-                                promo_anchor),))
-            page_stable = promo_region
-            for _ in range(1, epochs):
-                boundary = b.boundaries + 1
-                b.object_state("hot", "DRAM_TEMP")
-                b.step(f"epoch-{b.epoch}:write-page-dram",
-                       writes=(("hot", "dram", (IMG, b.epoch)),))
-                b.boundaries = boundary
-                b.object_state("hot", "DRAM_CHECKPOINTING")
-                dst = _resolve(wb_mode, page_stable)
-                wb_anchor = ((wb_choice.anchor.path, wb_choice.anchor.line)
-                             if wb_choice is not None else None)
-                _checkpoint(b, boundary=boundary, tables=("btt", "ptt"),
-                            stage_writes={
-                                wb_index: (("hot", dst, (IMG, b.epoch)),)},
-                            stages=stages,
-                            stage_anchors={wb_index: wb_anchor}
-                            if wb_anchor is not None else None)
-                page_stable = dst
-                b.object_state("hot", "CLEAN")
-                _commit(b, boundary, {"hot": (page_stable, b.epoch)})
-            yield b
+            _commit(b, boundary, {"hot": (page_stable, b.epoch)})
+        yield b
 
 
 def _thynvm_page_traces(system: str, workload: str, epochs: int,
-                        facts: ProtocolFacts) -> Iterator[TraceBuilder]:
-    """Page-grain flow: writes buffer in DRAM (volatile), the
-    checkpoint writeback stage copies them to the complement of the
-    PTT entry's stable region, and cold pages demote at later commits
-    (the demotion copy itself targets the complement region — a
-    trusted discipline, exercised by the runtime fuzzer)."""
-    wb_role = _writeback_role(facts)
-    wb_choice = (facts.thynvm_stage_choices.get(wb_role)
-                 if wb_role is not None else None)
-    wb_index = (facts.thynvm_stage_roles.index(wb_role)
-                if wb_role in facts.thynvm_stage_roles else 2)
-    stages = max(4, len(facts.thynvm_stage_roles))
+                        facts: ProtocolFacts, plan: List[DeclaredStage]
+                        ) -> Iterator[TraceBuilder]:
+    """Page-grain flow: writes buffer in DRAM (volatile), the declared
+    ``page`` stage copies them where its rule sends the PTT entry's
+    stable region, and cold pages demote at later commits (the
+    demotion copy itself targets the complement region — a trusted
+    discipline, exercised by the runtime fuzzer)."""
+    wb_index = _role_index(plan, "page")
+    writeback = plan[wb_index]
     for adopt_region, adopt_why in _policy_regions(
             facts.adoption, derived="B",
             what="page-adoption stable region"):
-        for wb_mode, wb_why in _choice_modes(
-                wb_choice, safe="other-of-stable",
-                what="page-writeback destination"):
-            b = TraceBuilder(system, workload, _join(adopt_why, wb_why))
-            b.object_state("hot", "HOME")
-            b.object_state("cold", "HOME")
-            hot_stable = adopt_region
-            cold_ref: Tuple[str, int] = ("home", -1)
-            cold_demoted_to: Optional[str] = None
-            wb_anchor = ((wb_choice.anchor.path, wb_choice.anchor.line)
-                         if wb_choice is not None else None)
-            for _ in range(epochs):
-                epoch = b.epoch
-                boundary = b.boundaries + 1
-                b.object_state("hot", "DRAM_TEMP")
-                writes = [("hot", "dram", (IMG, epoch))]
-                if epoch == 0:
-                    b.object_state("cold", "DRAM_TEMP")
-                    writes.append(("cold", "dram", (IMG, 0)))
-                b.step(f"epoch-{epoch}:write-pages-dram",
-                       writes=tuple(writes))
-                b.boundaries = boundary
-                hot_dst = _resolve(wb_mode, hot_stable)
-                stage: List[Tuple[str, str, Tuple[str, int]]] = [
-                    ("hot", hot_dst, (IMG, epoch))]
-                refs: Dict[str, Tuple[str, int]] = {}
-                b.object_state("hot", "DRAM_CHECKPOINTING")
-                if epoch == 0:
-                    b.object_state("cold", "DRAM_CHECKPOINTING")
-                    cold_dst = _resolve(wb_mode, adopt_region)
-                    stage.append(("cold", cold_dst, (IMG, 0)))
-                    refs["cold"] = (cold_dst, 0)
-                _checkpoint(b, boundary=boundary, tables=("ptt",),
-                            stage_writes={wb_index: tuple(stage)},
-                            stages=stages,
-                            stage_anchors={wb_index: wb_anchor}
-                            if wb_anchor is not None else None)
-                hot_stable = hot_dst
-                refs["hot"] = (hot_stable, epoch)
-                pre: Tuple[Tuple[str, Emission,
-                                 Optional[Tuple[str, int]]], ...] = ()
-                if boundary == 2:
-                    # The cold page went unwritten for an epoch: the
-                    # commit's scheme-switch pass demotes it, copying
-                    # its committed image to the complement region.
-                    cold_demoted_to = _other(cold_ref[0])
-                    pre = (("demote", Emission("demote"), None),)
-                if boundary == 3 and cold_demoted_to is not None:
-                    refs["cold"] = (cold_demoted_to, cold_ref[1])
-                b.object_state("hot", "CLEAN")
-                if epoch == 0:
-                    b.object_state("cold", "CLEAN")
-                _commit(b, boundary, refs, pre_steps=pre)
-                if pre:
-                    b.step(f"boundary-{boundary}:demote-copy",
-                           writes=(("cold", _other(cold_ref[0]),
-                                    (IMG, cold_ref[1])),),
-                           persist=True)
-                cold_ref = refs.get("cold", cold_ref)
-            yield b
+        b = TraceBuilder(system, workload, adopt_why)
+        b.object_state("hot", "HOME")
+        b.object_state("cold", "HOME")
+        hot_stable = adopt_region
+        cold_ref: Tuple[str, int] = ("home", -1)
+        cold_demoted_to: Optional[str] = None
+        for _ in range(epochs):
+            epoch = b.epoch
+            boundary = b.boundaries + 1
+            b.object_state("hot", "DRAM_TEMP")
+            writes = [("hot", "dram", (IMG, epoch))]
+            if epoch == 0:
+                b.object_state("cold", "DRAM_TEMP")
+                writes.append(("cold", "dram", (IMG, 0)))
+            b.step(f"epoch-{epoch}:write-pages-dram",
+                   writes=tuple(writes))
+            b.boundaries = boundary
+            hot_dst = _land(writeback.dest, hot_stable)
+            stage: List[Tuple[str, str, Tuple[str, int]]] = [
+                ("hot", hot_dst, (IMG, epoch))]
+            refs: Dict[str, Tuple[str, int]] = {}
+            b.object_state("hot", "DRAM_CHECKPOINTING")
+            if epoch == 0:
+                b.object_state("cold", "DRAM_CHECKPOINTING")
+                cold_dst = _land(writeback.dest, adopt_region)
+                stage.append(("cold", cold_dst, (IMG, 0)))
+                refs["cold"] = (cold_dst, 0)
+            _checkpoint(b, boundary=boundary, tables=("ptt",),
+                        stage_writes={wb_index: tuple(stage)},
+                        stages=len(plan),
+                        stage_anchors={wb_index: _at(writeback)})
+            hot_stable = hot_dst
+            refs["hot"] = (hot_stable, epoch)
+            pre: Tuple[Tuple[str, Emission,
+                             Optional[Tuple[str, int]]], ...] = ()
+            if boundary == 2:
+                # The cold page went unwritten for an epoch: the
+                # commit's scheme-switch pass demotes it, copying
+                # its committed image to the complement region.
+                cold_demoted_to = _other(cold_ref[0])
+                pre = (("demote", Emission("demote"), None),)
+            if boundary == 3 and cold_demoted_to is not None:
+                refs["cold"] = (cold_demoted_to, cold_ref[1])
+            b.object_state("hot", "CLEAN")
+            if epoch == 0:
+                b.object_state("cold", "CLEAN")
+            _commit(b, boundary, refs, pre_steps=pre)
+            if pre:
+                b.step(f"boundary-{boundary}:demote-copy",
+                       writes=(("cold", _other(cold_ref[0]),
+                                (IMG, cold_ref[1])),),
+                       persist=True)
+            cold_ref = refs.get("cold", cold_ref)
+        yield b
 
 
 # ---------------------------------------------------------------------------
@@ -352,73 +308,52 @@ def _thynvm_page_traces(system: str, workload: str, epochs: int,
 # ---------------------------------------------------------------------------
 
 def _journal_traces(workload: str, epochs: int,
-                    facts: ProtocolFacts) -> Iterator[TraceBuilder]:
-    """Journaling: buffered writes flush at the boundary as a log
-    stage (redo journal in NVM) then an in-place home stage; recovery
-    replays a durable log over torn home images."""
-    offset = 1 if facts.cpu_stage_prepended else 0
-    if "?" in facts.journal_stage_roles:
-        orders: List[Tuple[List[str], str]] = [
-            (["log", "home"], "journal stage order unresolved; "
-                              "assuming log-then-home"),
-            (["home", "log"], "journal stage order unresolved; "
-                              "assuming home-then-log"),
-        ]
-    else:
-        orders = [(list(facts.journal_stage_roles), "")]
-    for roles, why in orders:
-        b = TraceBuilder("journal", workload, why)
-        for _ in range(epochs):
-            epoch = b.epoch
-            boundary = b.boundaries + 1
-            b.step(f"epoch-{epoch}:write-buffered",
-                   writes=(("dat", "dram", (IMG, epoch)),))
-            b.boundaries = boundary
-            b.set_phase("ENDING")
-            b.step(f"boundary-{boundary}:request-end")
-            b.step(f"boundary-{boundary}:plan-log",
-                   emission=Emission("table-persist", "log"),
-                   writes=(("meta:log", "next", (IMG, epoch)),),
-                   persist=True)
-            b.set_phase("CHECKPOINTING")
-            b.step(f"boundary-{boundary}:start",
-                   emission=Emission("ckpt-start"))
-            stage_index = 0
-            if facts.cpu_stage_prepended:
-                b.step(f"boundary-{boundary}:stage-0",
-                       emission=Emission("stage-done", "0"),
-                       writes=(("meta:cpu", "state", (IMG, epoch)),),
-                       persist=True)
-                stage_index = 1
-            for role in roles:
-                loc = "log" if role == "log" else "home"
-                b.step(f"boundary-{boundary}:stage-{stage_index}",
-                       emission=Emission("stage-done", str(stage_index)),
-                       writes=(("dat", loc, (IMG, epoch)),),
-                       persist=True)
-                if (role == "log"
-                        and facts.journal_capture_stage == stage_index):
-                    b.log_epoch = epoch
-                stage_index += 1
-            while stage_index < len(roles) + offset:
-                b.step(f"boundary-{boundary}:stage-{stage_index}",
-                       emission=Emission("stage-done", str(stage_index)))
-                stage_index += 1
-            b.step(f"boundary-{boundary}:fence",
-                   emission=Emission("fence"))
-            b.step(f"boundary-{boundary}:commit-record",
-                   emission=Emission("commit-write"),
-                   writes=(("meta:commit", "record", (IMG, epoch)),),
-                   persist=True)
-            b.log_epoch = None      # home writes landed; log retired
-            _commit(b, boundary, {"dat": ("home", epoch)})
-        yield b
+                    plan: List[DeclaredStage]) -> Iterator[TraceBuilder]:
+    """Journaling: buffered writes flush at the boundary through the
+    declared stages (a redo log, then the in-place home writes); the
+    ``log`` stage's completion makes the log what recovery replays
+    over torn home images."""
+    b = TraceBuilder("journal", workload)
+    for _ in range(epochs):
+        epoch = b.epoch
+        boundary = b.boundaries + 1
+        b.step(f"epoch-{epoch}:write-buffered",
+               writes=(("dat", "dram", (IMG, epoch)),))
+        b.boundaries = boundary
+        b.set_phase("ENDING")
+        b.step(f"boundary-{boundary}:request-end")
+        b.step(f"boundary-{boundary}:plan-log",
+               emission=Emission("table-persist", "log"),
+               writes=(("meta:log", "next", (IMG, epoch)),),
+               persist=True)
+        b.set_phase("CHECKPOINTING")
+        b.step(f"boundary-{boundary}:start",
+               emission=Emission("ckpt-start"))
+        for index, stage in enumerate(plan):
+            cell = (("meta:cpu", "state") if stage.role == "cpu"
+                    else ("dat", _land(stage.dest, "home", home="home")))
+            b.step(f"boundary-{boundary}:stage-{index}",
+                   emission=Emission("stage-done", str(index)),
+                   writes=((*cell, (IMG, epoch)),),
+                   persist=True, anchor=_at(stage))
+            if stage.role == "log":
+                b.log_epoch = epoch
+        b.step(f"boundary-{boundary}:fence",
+               emission=Emission("fence"))
+        b.step(f"boundary-{boundary}:commit-record",
+               emission=Emission("commit-write"),
+               writes=(("meta:commit", "record", (IMG, epoch)),),
+               persist=True)
+        b.log_epoch = None      # home writes landed; log retired
+        _commit(b, boundary, {"dat": ("home", epoch)})
+    yield b
 
 
-def _shadow_traces(workload: str, epochs: int,
-                   facts: ProtocolFacts) -> Iterator[TraceBuilder]:
-    """Shadow paging: buffered writes flush to the complement of each
-    page's committed region; commit flips the page-map entry.
+def _shadow_traces(workload: str, epochs: int, facts: ProtocolFacts,
+                   plan: List[DeclaredStage]) -> Iterator[TraceBuilder]:
+    """Shadow paging: buffered writes flush through the declared
+    ``page`` stage (to the complement of each page's committed region);
+    commit flips the page-map entry.
 
     The flush stage runs as a *bulk run* (one read run + one write run
     per dirty page, docs/PERFORMANCE.md), so the machine splits it in
@@ -435,21 +370,15 @@ def _shadow_traces(workload: str, epochs: int,
             (True, "bulk service order unresolved; assuming a straggler "
                    "run block outlives the pre-commit fence"),
         ]
-    worlds = [(mode, straggler, _join(choice_why, straggler_why))
-              for mode, choice_why in _choice_modes(
-                  facts.shadow_flush, safe="other-of-committed",
-                  what="shadow flush destination")
-              for straggler, straggler_why in straggler_worlds]
-    for mode, straggler, why in worlds:
+    data_stage = _role_index(plan, "page")
+    flush = plan[data_stage]
+    for straggler, why in straggler_worlds:
         b = TraceBuilder("shadow", workload, why)
         committed_region = "B"      # page map defaults to region B
-        anchor = ((facts.shadow_flush.anchor.path,
-                   facts.shadow_flush.anchor.line)
-                  if facts.shadow_flush is not None else None)
         straggler_anchor = ((facts.bulk_inorder_anchor.path,
                              facts.bulk_inorder_anchor.line)
                             if facts.bulk_inorder_anchor is not None
-                            else anchor)
+                            else _at(flush))
         for _ in range(epochs):
             epoch = b.epoch
             boundary = b.boundaries + 1
@@ -464,36 +393,24 @@ def _shadow_traces(workload: str, epochs: int,
             b.set_phase("CHECKPOINTING")
             b.step(f"boundary-{boundary}:start",
                    emission=Emission("ckpt-start"))
-            dst = _resolve(mode, committed_region)
-            stage_writes: Dict[int, Tuple[Tuple[str, str,
-                                                Tuple[str, int]], ...]] = {}
-            if facts.cpu_stage_prepended:
-                stage_writes[0] = (("meta:cpu", "state", (IMG, epoch)),)
-                stage_writes[1] = (("dat", dst, (IMG, epoch)),)
-                stages = 2
-            else:
-                stage_writes[0] = (("dat", dst, (IMG, epoch)),)
-                stages = 1
-            data_stage = stages - 1
-            if straggler:
-                # The fence will report the run drained while one block
-                # is still in flight: the stage completes with the
-                # destination image still torn.
-                stage_writes[data_stage] = (("dat", dst, (TORN, epoch)),)
-            for stage in range(stages):
-                if stage == data_stage:
+            dst = _land(flush.dest, committed_region)
+            for index, stage in enumerate(plan):
+                if index != data_stage:
+                    writes = (("meta:cpu", "state", (IMG, epoch)),)
+                else:
                     # A prefix of the page-flush bulk run is durable:
                     # the destination holds a torn image until the
-                    # stage's last block is serviced.
+                    # stage's last block is serviced — and, in the
+                    # straggler world, still at stage end.
                     b.step(f"boundary-{boundary}:bulk-block",
-                           emission=Emission("bulk-write", str(stage)),
+                           emission=Emission("bulk-write", str(index)),
                            writes=(("dat", dst, (TORN, epoch)),),
-                           persist=True, anchor=anchor)
-                b.step(f"boundary-{boundary}:stage-{stage}",
-                       emission=Emission("stage-done", str(stage)),
-                       writes=stage_writes.get(stage, ()),
-                       persist=True,
-                       anchor=anchor if stage == stages - 1 else None)
+                           persist=True, anchor=_at(stage))
+                    writes = (("dat", dst,
+                               (TORN if straggler else IMG, epoch)),)
+                b.step(f"boundary-{boundary}:stage-{index}",
+                       emission=Emission("stage-done", str(index)),
+                       writes=writes, persist=True, anchor=_at(stage))
             b.step(f"boundary-{boundary}:fence",
                    emission=Emission("fence"))
             b.step(f"boundary-{boundary}:commit-record",
@@ -507,8 +424,7 @@ def _shadow_traces(workload: str, epochs: int,
                 # record; every crash since the commit recovered from
                 # the torn destination the metadata now points at.
                 b.step(f"boundary-{boundary}:straggler-block",
-                       emission=Emission("bulk-write",
-                                         str(data_stage)),
+                       emission=Emission("bulk-write", str(data_stage)),
                        writes=(("dat", dst, (IMG, epoch)),),
                        persist=True, anchor=straggler_anchor)
         yield b
@@ -546,8 +462,13 @@ def _region_recover(state: AbstractState) -> Optional[str]:
 
 def _journal_recover(state: AbstractState) -> Optional[str]:
     """Journaling recovers any complete home image (the runtime oracle
-    accepts membership in the committed/pending set); only a torn home
-    image with no durable log covering that epoch is unrecoverable."""
+    accepts membership in the committed/pending set); a torn home image
+    with no durable log covering that epoch is unrecoverable, and so is
+    a record naming a log the log area does not hold."""
+    if (state.log_epoch is not None
+            and state.cell("dat", "log") != (IMG, state.log_epoch)):
+        return (f"dat: the record names the epoch-{state.log_epoch} redo "
+                f"log, which the log area does not hold")
     for (obj, loc), (kind, epoch) in state.mem:
         if obj.startswith("meta:") or loc != "home":
             continue
@@ -563,26 +484,26 @@ def _journal_recover(state: AbstractState) -> Optional[str]:
 
 def _build_builders(system: str, facts: ProtocolFacts, epochs: int,
                     workloads: Tuple[str, ...]) -> List[TraceBuilder]:
+    if system not in VERIFY_SYSTEMS:
+        raise ValueError(f"unknown system: {system}")
+    plan = facts.plans.get("thynvm" if system.startswith("thynvm")
+                           else system)
+    if plan is None:
+        return []           # the extraction finding is the verdict
     builders: List[TraceBuilder] = []
     for workload in workloads:
-        if system == "thynvm":
-            if workload == "hotpage":
-                builders.extend(_thynvm_hotpage_traces(epochs, facts))
-            else:
-                builders.append(_thynvm_block_trace(system, workload,
-                                                    epochs, facts))
-        elif system == "thynvm_block_only":
-            builders.append(_thynvm_block_trace(system, workload,
-                                                epochs, facts))
+        if system == "thynvm" and workload == "hotpage":
+            builders.extend(_thynvm_hotpage_traces(epochs, facts, plan))
+        elif system in ("thynvm", "thynvm_block_only"):
+            builders.append(_thynvm_block_trace(system, workload, epochs,
+                                                plan))
         elif system == "thynvm_page_only":
-            builders.extend(_thynvm_page_traces(system, workload,
-                                                epochs, facts))
+            builders.extend(_thynvm_page_traces(system, workload, epochs,
+                                                facts, plan))
         elif system == "journal":
-            builders.extend(_journal_traces(workload, epochs, facts))
-        elif system == "shadow":
-            builders.extend(_shadow_traces(workload, epochs, facts))
+            builders.extend(_journal_traces(workload, epochs, plan))
         else:
-            raise ValueError(f"unknown system: {system}")
+            builders.extend(_shadow_traces(workload, epochs, facts, plan))
     return builders
 
 

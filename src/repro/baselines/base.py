@@ -5,18 +5,20 @@ execution, then a checkpointing phase during which the CPU stays
 stalled.  The epoch lifecycle itself (timer, persist barriers, drain,
 crash) is :class:`~repro.core.lifecycle.EpochController`'s; this class
 adds the stop-the-world boundary sequence (stall → cache flush →
-CPU-state write → subclass checkpoint stages → commit → resume) and
-the buffer-full valve.  Subclasses provide the write steering, the
-checkpoint job list and the commit-time metadata flip, which writes
-their recovery record (:mod:`repro.core.recovery`).
+the declared checkpoint stages → commit → resume) and the buffer-full
+valve.  Subclasses declare their plan (a ``CHECKPOINT_PLAN`` literal of
+``(role, Dest)`` pairs whose ``cpu`` stage this class writes) and
+provide the write steering, each data stage's jobs and the commit-time
+metadata flip, which writes their recovery record
+(:mod:`repro.core.recovery`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 from ..core import probes
-from ..core.checkpoint import CheckpointRun, Job
+from ..core.checkpoint import CheckpointRun, Dest, Job
 from ..core.lifecycle import EpochController
 from ..core.recovery import MetaSnapshot, write_record
 from ..errors import CrashedError
@@ -26,6 +28,9 @@ from ..sim.request import MemoryRequest, Origin
 
 class StopTheWorldController(EpochController):
     """Epoch-based consistency with a blocking checkpointing phase."""
+
+    #: The subclass's declared ``CHECKPOINT_PLAN``, in stage order.
+    PLAN: Sequence[Tuple[str, Dest]] = ()
 
     @property
     def committed_epoch(self) -> int:
@@ -53,7 +58,18 @@ class StopTheWorldController(EpochController):
                   data, callback, on_accept=None) -> None:
         raise NotImplementedError
 
+    def _aux_plan(self) -> List[Tuple[str, Dest]]:
+        """The declared plan without its CPU-state stage: what a
+        sub-epoch (aux) checkpoint, which has no CPU boundary, writes."""
+        return [(role, dest) for role, dest in self.PLAN if role != "cpu"]
+
     def _checkpoint_stages(self) -> List[List[Job]]:
+        """Jobs of every declared stage but the CPU state's."""
+        return [self._stage_jobs(role, dest)
+                for role, dest in self._aux_plan()]
+
+    def _stage_jobs(self, role: str, dest: Dest) -> List[Job]:
+        """Jobs of declared data stage ``role``, aimed by ``dest``."""
         raise NotImplementedError
 
     def _commit_actions(self) -> None:
@@ -94,9 +110,7 @@ class StopTheWorldController(EpochController):
         if self.epochs.checkpoint_in_flight and self._aux_run is None:
             # Mid-cache-flush overflow: flush the buffer without a CPU
             # boundary to avoid deadlock.
-            self._run_aux_checkpoint(self._checkpoint_stages(),
-                                     on_commit=self._commit_actions,
-                                     on_stage=self._aux_stage_done)
+            self._run_aux_checkpoint()
         else:
             self.epochs.request_end(reason)
 
@@ -127,15 +141,18 @@ class StopTheWorldController(EpochController):
         if self.core is not None and self.core.stalled:
             # Flush finished; the rest of the stall is checkpoint time.
             self.core.change_stall_reason("checkpoint")
-        stages = [self._cpu_state_jobs()] + self._checkpoint_stages()
+        roles = [role for role, _dest in self.PLAN]
+        stages = self._checkpoint_stages()
+        stages.insert(roles.index("cpu"), self._cpu_state_jobs())
         self._ckpt_run = CheckpointRun(
             self.engine, self.memctrl, stages,
             self.layout.commit_record_addr, self._committed,
-            on_stage=self._on_ckpt_stage)
+            on_stage=self._on_ckpt_stage, roles=roles)
         self._ckpt_run.start()
 
-    def _on_ckpt_stage(self, stage_index: int) -> None:
-        """Hook: stage ``stage_index`` of the epoch checkpoint is durable."""
+    def _on_ckpt_stage(self, stage_index: int, role: str) -> None:
+        """Hook: declared stage ``role`` (index ``stage_index``) of an
+        epoch or aux checkpoint is durable."""
 
     def _cpu_state_jobs(self) -> List[Job]:
         nblocks = -(-self.config.cpu_state_bytes // self.config.block_bytes)
@@ -166,10 +183,7 @@ class StopTheWorldController(EpochController):
 
     # --- emergency (buffer-full) checkpoint cycles -------------------------------------
 
-    def _run_aux_checkpoint(self, stages: List[List[Job]],
-                            on_commit: Callable[[], None],
-                            on_stage: Optional[Callable[[int], None]] = None,
-                            ) -> None:
+    def _run_aux_checkpoint(self) -> None:
         """Flush buffered state without requiring a CPU boundary.
 
         Used when a DRAM buffer fills mid-epoch (or mid-cache-flush,
@@ -177,20 +191,19 @@ class StopTheWorldController(EpochController):
         sub-epoch commit weakens atomicity to the flush point — a real
         property of buffer-capacity-limited journaling/shadow designs.
         """
-        run = CheckpointRun(self.engine, self.memctrl, stages,
+        run = CheckpointRun(self.engine, self.memctrl,
+                            self._checkpoint_stages(),
                             self.layout.commit_record_addr,
-                            lambda: self._aux_committed(on_commit),
-                            on_stage=on_stage)
+                            self._aux_committed,
+                            on_stage=self._on_ckpt_stage,
+                            roles=[role for role, _dest in self._aux_plan()])
         self._aux_run = run
         run.start()
 
-    def _aux_stage_done(self, stage_index: int) -> None:
-        """Hook: stage ``stage_index`` of an aux checkpoint is durable."""
-
-    def _aux_committed(self, on_commit: Callable[[], None]) -> None:
+    def _aux_committed(self) -> None:
         self._aux_run = None
         if self._crashed:
             return
-        on_commit()
+        self._commit_actions()
         probes.notify("aux-commit")
         self._replay_deferred_writes()

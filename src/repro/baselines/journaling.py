@@ -12,8 +12,9 @@ Functionally, a crash after the log commit but before the in-place
 writes finish recovers by replaying the committed log over the home
 image — real journaling semantics, verifiable in tests.  The log
 commit is the controller's recovery record (a block -> log-slot map,
-:mod:`repro.core.recovery`), written the moment the log stage is
-durable; the checkpoint commit replaces it with a record with no log.
+:mod:`repro.core.recovery`), written the moment the declared ``log``
+stage is durable; the checkpoint commit replaces it with a record with
+no log.
 """
 
 from __future__ import annotations
@@ -22,17 +23,30 @@ from typing import Dict, List, Tuple
 
 from ..config import SystemConfig
 from ..core import probes
-from ..core.checkpoint import Job
+from ..core.checkpoint import Dest, Job
 from ..core.recovery import MetaSnapshot, read_record
+from ..core.regions import REGION_B
 from ..mem.controller import DeviceKind, MemoryController
 from ..sim.engine import Engine
 from ..sim.request import Origin
 from ..stats.collector import StatsCollector
 from .base import StopTheWorldController
 
+#: The checkpoint plan, in stage order: the CPU state, the buffered
+#: blocks to the redo log, then the same blocks in place at home.  The
+#: ``log`` stage's completion commits the log.
+CHECKPOINT_PLAN = (
+    ("cpu", Dest.BACKUP),
+    ("log", Dest.LOG),
+    ("home", Dest.HOME),
+)
+
 
 class JournalingController(StopTheWorldController):
     """Redo journaling with a DRAM journal buffer."""
+
+    #: The declared plan the planners walk.
+    PLAN = CHECKPOINT_PLAN
 
     def __init__(self, engine: Engine, config: SystemConfig,
                  memctrl: MemoryController, stats: StatsCollector) -> None:
@@ -86,34 +100,31 @@ class JournalingController(StopTheWorldController):
 
     def _checkpoint_stages(self) -> List[List[Job]]:
         self._log_plan = sorted(self._buffer.items())
-        log_stage = [
-            Job(dst_kind=DeviceKind.NVM,
-                dst_addr=self._journal_nvm_addr(slot),
-                origin=Origin.JOURNAL,
-                src_kind=DeviceKind.DRAM,
-                src_addr=self._slot_addr(slot))
-            for block, slot in self._log_plan
-        ]
-        inplace_stage = [
-            Job(dst_kind=DeviceKind.NVM,
-                dst_addr=self.layout.home_block_addr(block),
-                origin=Origin.CHECKPOINT,
-                src_kind=DeviceKind.DRAM,
-                src_addr=self._slot_addr(slot))
-            for block, slot in self._log_plan
-        ]
-        if log_stage:
+        stages = super()._checkpoint_stages()
+        if self._log_plan:
             probes.notify("table-persist", "log")
-        return [log_stage, inplace_stage]
+        return stages
 
-    def _on_ckpt_stage(self, stage_index: int) -> None:
-        # Stage 0 = CPU state, stage 1 = log writes.  Once the log is
-        # durable, a crash can recover this epoch by replaying it.
-        if stage_index == 1:
-            self._capture_log()
+    def _stage_jobs(self, role: str, dest: Dest) -> List[Job]:
+        # Both data stages copy every buffered block from its slot.
+        origin = Origin.JOURNAL if dest is Dest.LOG else Origin.CHECKPOINT
+        jobs: List[Job] = []
+        for block, slot in self._log_plan:
+            if dest is Dest.LOG:
+                dst_addr = self._journal_nvm_addr(slot)
+            else:
+                # Until the log commits, every committed copy is at home.
+                dst_addr = self.layout.region_block_addr(
+                    dest.region(REGION_B), block)
+            jobs.append(Job(dst_kind=DeviceKind.NVM, dst_addr=dst_addr,
+                            origin=origin, src_kind=DeviceKind.DRAM,
+                            src_addr=self._slot_addr(slot)))
+        return jobs
 
-    def _aux_stage_done(self, stage_index: int) -> None:
-        if stage_index == 0:   # aux runs have no CPU-state stage
+    def _on_ckpt_stage(self, stage_index: int, role: str) -> None:
+        # Once the log is durable, a crash can recover this epoch by
+        # replaying it (epoch and aux runs alike).
+        if role == "log":
             self._capture_log()
 
     def _capture_log(self) -> None:

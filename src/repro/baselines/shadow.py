@@ -19,18 +19,28 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..config import SystemConfig
 from ..core import probes
-from ..core.checkpoint import Job
+from ..core.checkpoint import Dest, Job
 from ..core.recovery import MetaSnapshot
-from ..core.regions import REGION_B, other_region
+from ..core.regions import REGION_B
 from ..mem.controller import DeviceKind, MemoryController
 from ..sim.engine import Engine
 from ..sim.request import Origin
 from ..stats.collector import StatsCollector
 from .base import StopTheWorldController
 
+#: The checkpoint plan, in stage order: the CPU state, then every dirty
+#: buffer page to the complement of its committed region.
+CHECKPOINT_PLAN = (
+    ("cpu", Dest.BACKUP),
+    ("page", Dest.COMPLEMENT),
+)
+
 
 class ShadowPagingController(StopTheWorldController):
     """Copy-on-write shadow paging with a DRAM page buffer."""
+
+    #: The declared plan the planners walk.
+    PLAN = CHECKPOINT_PLAN
 
     def __init__(self, engine: Engine, config: SystemConfig,
                  memctrl: MemoryController, stats: StatsCollector) -> None:
@@ -123,10 +133,16 @@ class ShadowPagingController(StopTheWorldController):
 
     def _checkpoint_stages(self) -> List[List[Job]]:
         self._flush_plan = []
+        stages = super()._checkpoint_stages()
+        if self._flush_plan:
+            probes.notify("table-persist", "pagemap")
+        return stages
+
+    def _stage_jobs(self, role: str, dest: Dest) -> List[Job]:
         jobs: List[Job] = []
         for page in sorted(self._dirty):
             slot = self._pages[page]
-            dst_region = other_region(self._committed_region(page))
+            dst_region = dest.region(self._committed_region(page))
             self._flush_plan.append((page, slot, dst_region))
             src_base = self.layout.page_slot_addr(slot)
             dst_base = self.layout.region_page_addr(dst_region, page)
@@ -137,9 +153,7 @@ class ShadowPagingController(StopTheWorldController):
                             src_addr=src_base,
                             count=self.config.blocks_per_page,
                             stride=self.config.block_bytes))
-        if jobs:
-            probes.notify("table-persist", "pagemap")
-        return [jobs]
+        return jobs
 
     def _commit_actions(self) -> None:
         for page, _slot, dst_region in self._flush_plan:

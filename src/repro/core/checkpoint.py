@@ -12,10 +12,19 @@ next stage starts only after every job of the current stage has been
 *serviced* by its device.  After the last stage the run drains the NVM
 write queue, writes the commit record, and calls ``on_commit`` when
 that write is durable.
+
+Each system declares its plan once, as a module-level ``CHECKPOINT_PLAN``
+literal of ``(role, Dest)`` pairs beside its planner: the role says what
+a stage writes (``temp``, ``page``, ``log``, ``btt``, ...), the
+:class:`Dest` rule where it lands relative to the committed record.
+The planners walk that literal, :class:`CheckpointRun` reports each
+finished stage's role to its owner, and ``repro verify`` reads the same
+literals from the source (docs/VERIFY.md).
 """
 
 from __future__ import annotations
 
+import enum
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -26,6 +35,28 @@ from ..mem.controller import DeviceKind, MemoryController
 from ..sim.engine import Engine
 from ..sim.request import MemoryRequest, Origin
 from . import probes
+from .regions import REGION_B, other_region
+
+
+class Dest(enum.Enum):
+    """Where a declared checkpoint stage writes its objects."""
+
+    COMPLEMENT = "complement"   # the region the committed copy is not in
+    COMMITTED = "committed"     # the committed copy's own region (unsafe)
+    HOME = "home"               # the Home Region (== region B), in place
+    LOG = "log"                 # the redo-log area
+    BACKUP = "backup"           # the BTT/PTT/CPU-state Backup Region
+
+    def region(self, committed: int) -> int:
+        """The checkpoint region this rule sends an object whose
+        committed copy lives in region ``committed`` to."""
+        if self is Dest.COMPLEMENT:
+            return other_region(committed)
+        if self is Dest.COMMITTED:
+            return committed
+        if self is Dest.HOME:
+            return REGION_B
+        raise SimulationError(f"{self.name} names no checkpoint region")
 
 
 @dataclass
@@ -82,11 +113,14 @@ class CheckpointRun:
         commit_addr: int,
         on_commit: Callable[[], None],
         max_in_flight: int = 16,
-        on_stage: Optional[Callable[[int], None]] = None,
+        on_stage: Optional[Callable[[int, str], None]] = None,
+        roles: Sequence[str] = (),
     ) -> None:
         self.engine = engine
         self.memctrl = memctrl
         self.stages = [list(stage) for stage in stages]
+        # The declared role of each stage, reported with its index.
+        self.roles = list(roles) or [""] * len(self.stages)
         self.commit_addr = commit_addr
         self.on_commit = on_commit
         self.max_in_flight = max_in_flight
@@ -114,7 +148,8 @@ class CheckpointRun:
             # All of stage `_stage_index`'s writes are serviced (durable).
             probes.notify("stage-done", str(self._stage_index))
             if self.on_stage is not None:
-                self.on_stage(self._stage_index)
+                self.on_stage(self._stage_index,
+                              self.roles[self._stage_index])
         self._stage_index += 1
         if self._stage_index >= len(self.stages):
             self._drain_and_commit()

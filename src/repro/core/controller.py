@@ -39,13 +39,24 @@ from ..sim.request import MemoryRequest, Origin
 from ..stats.collector import StatsCollector
 from . import probes
 from .btt import BlockTranslationTable
-from .checkpoint import CheckpointRun, Job
+from .checkpoint import CheckpointRun, Dest, Job
 from .coordinator import SchemeCoordinator
 from .lifecycle import EpochController
 from .metadata import BlockEntry, GcState, PageEntry
 from .ptt import PageTranslationTable
 from .recovery import MetaSnapshot, RecoveredState, recover, write_record
 from .regions import REGION_A, REGION_B, other_region
+
+#: The checkpoint plan, in stage order (Figure 6(b), §4.4): block
+#: working copies buffered in DRAM, the BTT, dirty pages, the PTT.
+#: Both data stages write the complement of their object's committed
+#: region.  ``_plan_checkpoint`` walks it; ``repro verify`` reads it.
+CHECKPOINT_PLAN = (
+    ("temp", Dest.COMPLEMENT),
+    ("btt", Dest.BACKUP),
+    ("page", Dest.COMPLEMENT),
+    ("ptt", Dest.BACKUP),
+)
 
 
 @dataclass
@@ -68,6 +79,9 @@ class ThyNVMController(EpochController):
     #: live working copies; the second makes the resulting metadata
     #: durable even for data touched by the first.
     DRAIN_ROUNDS = 2
+
+    #: The declared plan the planners walk.
+    PLAN = CHECKPOINT_PLAN
 
     def __init__(
         self,
@@ -355,36 +369,21 @@ class ThyNVMController(EpochController):
         """
         if self._aux_run is not None or self._ckpt_run is not None:
             return
-        plan: List[PageEntry] = []
-        jobs: List[Job] = []
-        layout = self.layout
-        block_bytes = self.config.block_bytes
-        for page, pe in self.ptt:
-            if not pe.dirty_active or pe.ckpt_in_progress:
-                continue
-            pe.dirty_ckpt = pe.dirty_active
-            pe.dirty_active = set()
-            pe.ckpt_in_progress = True
-            self._dirty_pages.discard(page)
-            plan.append(pe)
-            dst_base = layout.region_page_addr(other_region(pe.stable_region),
-                                               page)
-            src_base = layout.page_slot_addr(pe.dram_slot)
-            for offset in range(self.config.blocks_per_page):
-                jobs.append(Job(
-                    dst_kind=DeviceKind.NVM,
-                    dst_addr=dst_base + offset * block_bytes,
-                    origin=Origin.CHECKPOINT,
-                    src_kind=DeviceKind.DRAM,
-                    src_addr=src_base + offset * block_bytes))
+        plan = [pe for _page, pe in self.ptt
+                if pe.dirty_active and not pe.ckpt_in_progress]
         if not plan:
             return
+        for pe in plan:
+            self._dirty_pages.discard(pe.page)
+        layout = self.layout
+        jobs = self._page_writeback_jobs(plan, dict(self.PLAN)["page"])
         ptt_jobs = self._table_persist_jobs(
             self.ptt, layout.ptt_backup_offset, layout.ptt_backup_blocks)
         self._aux_plan = plan
         self._aux_run = CheckpointRun(
             self.engine, self.memctrl, [jobs, ptt_jobs],
-            layout.commit_record_addr, self._aux_committed)
+            layout.commit_record_addr, self._aux_committed,
+            roles=("page", "ptt"))
         self._aux_run.start()
 
     def _aux_committed(self) -> None:
@@ -613,7 +612,8 @@ class ThyNVMController(EpochController):
         stages, self._planned_stages = self._planned_stages, []
         self._ckpt_run = CheckpointRun(
             self.engine, self.memctrl, stages,
-            self.layout.commit_record_addr, self._on_commit)
+            self.layout.commit_record_addr, self._on_commit,
+            roles=[role for role, _dest in self.PLAN])
         self._ckpt_run.start()
 
     # ------------------------------------------------------------------
@@ -621,11 +621,54 @@ class ThyNVMController(EpochController):
     # ------------------------------------------------------------------
 
     def _plan_checkpoint(self, epoch: int) -> List[List[Job]]:
+        """Epoch ``epoch``'s checkpoint: one stage per ``PLAN`` entry,
+        in declared order, each data stage aimed by its rule."""
         layout = self.layout
-        block_bytes = self.config.block_bytes
+        # Blocks updated in place in NVM: metadata-only checkpointing —
+        # the whole point of block remapping.
+        self._plan_pending_entries = [
+            e for e in (self.btt.lookup(b) for b in sorted(self._pending_blocks))
+            if e is not None and e.pending_epoch == epoch
+        ]
+        self._pending_blocks.clear()
 
-        # Stage 1: DRAM-buffered block working copies -> NVM.
-        stage1: List[Job] = []
+        stages: List[List[Job]] = []
+        for role, dest in self.PLAN:
+            if role == "temp":
+                stages.append(self._temp_stage_jobs(epoch, dest))
+            elif role == "btt":
+                stages.append(self._table_persist_jobs(
+                    self.btt, layout.btt_backup_offset,
+                    layout.btt_backup_blocks))
+            elif role == "page":
+                self._plan_pages = [
+                    pe for pe in map(self.ptt.lookup, sorted(self._dirty_pages))
+                    if pe is not None and pe.dirty_active]
+                self._dirty_pages.clear()
+                stages.append(self._page_writeback_jobs(self._plan_pages,
+                                                        dest))
+            elif role == "ptt":
+                stages.append(self._table_persist_jobs(
+                    self.ptt, layout.ptt_backup_offset,
+                    layout.ptt_backup_blocks))
+            else:
+                raise ProtocolError(f"no planner for checkpoint stage {role!r}")
+
+        # Reset per-entry store counters for the new epoch.
+        for _index, entry in self.btt:
+            entry.store_count = 0
+        for _index, pe in self.ptt:
+            pe.store_count = 0
+        self.stats.table_entries_peak = max(
+            self.stats.table_entries_peak, len(self.btt) + len(self.ptt))
+        self.stats.btt_peak_entries = self.btt.peak_occupancy
+        self.stats.ptt_peak_entries = self.ptt.peak_occupancy
+        return stages
+
+    def _temp_stage_jobs(self, epoch: int, dest: Dest) -> List[Job]:
+        """DRAM-buffered block working copies of ``epoch`` -> NVM."""
+        layout = self.layout
+        jobs: List[Job] = []
         self._plan_temp_entries = []
         for block in sorted(self._temp_by_epoch.pop(epoch, ())):
             entry = self.btt.lookup(block)
@@ -639,66 +682,40 @@ class ThyNVMController(EpochController):
                     f"block {block}: unmerged cooperation temp at epoch "
                     f"{epoch} boundary")
             self._plan_temp_entries.append(entry)
-            dst_region = other_region(entry.stable_region)
-            stage1.append(Job(
+            jobs.append(Job(
                 dst_kind=DeviceKind.NVM,
-                dst_addr=layout.region_block_addr(dst_region, block),
+                dst_addr=layout.region_block_addr(
+                    dest.region(entry.stable_region), block),
                 origin=Origin.CHECKPOINT,
                 src_kind=DeviceKind.DRAM,
                 src_addr=layout.temp_block_addr(block, epoch),
             ))
+        return jobs
 
-        # Blocks updated in place in NVM: metadata-only checkpointing —
-        # the whole point of block remapping.
-        self._plan_pending_entries = [
-            e for e in (self.btt.lookup(b) for b in sorted(self._pending_blocks))
-            if e is not None and e.pending_epoch == epoch
-        ]
-        self._pending_blocks.clear()
-
-        # Stage 2: persist the BTT.
-        stage2 = self._table_persist_jobs(
-            self.btt, layout.btt_backup_offset, layout.btt_backup_blocks)
-
-        # Stage 3: dirty pages -> NVM (full-page writeback).
-        stage3: List[Job] = []
-        self._plan_pages = []
-        for page in sorted(self._dirty_pages):
-            pe = self.ptt.lookup(page)
-            if pe is None or not pe.dirty_active:
-                continue
+    def _page_writeback_jobs(self, pages: List[PageEntry],
+                             dest: Dest) -> List[Job]:
+        """Start each page's checkpoint: its DRAM slot, block by block,
+        to the region ``dest`` names (the epoch plan's page stage and
+        the sub-epoch flush alike)."""
+        layout = self.layout
+        block_bytes = self.config.block_bytes
+        jobs: List[Job] = []
+        for pe in pages:
             pe.dirty_ckpt = pe.dirty_active
             pe.dirty_active = set()
             pe.ckpt_in_progress = True
-            self._plan_pages.append(pe)
-            dst_region = other_region(pe.stable_region)
-            dst_base = layout.region_page_addr(dst_region, page)
+            dst_base = layout.region_page_addr(dest.region(pe.stable_region),
+                                               pe.page)
             src_base = layout.page_slot_addr(pe.dram_slot)
             for offset in range(self.config.blocks_per_page):
-                stage3.append(Job(
+                jobs.append(Job(
                     dst_kind=DeviceKind.NVM,
                     dst_addr=dst_base + offset * block_bytes,
                     origin=Origin.CHECKPOINT,
                     src_kind=DeviceKind.DRAM,
                     src_addr=src_base + offset * block_bytes,
                 ))
-        self._dirty_pages.clear()
-
-        # Stage 4: persist the PTT.
-        stage4 = self._table_persist_jobs(
-            self.ptt, layout.ptt_backup_offset, layout.ptt_backup_blocks)
-
-        # Reset per-entry store counters for the new epoch.
-        for _index, entry in self.btt:
-            entry.store_count = 0
-        for _index, pe in self.ptt:
-            pe.store_count = 0
-        self.stats.table_entries_peak = max(
-            self.stats.table_entries_peak, len(self.btt) + len(self.ptt))
-        self.stats.btt_peak_entries = self.btt.peak_occupancy
-        self.stats.ptt_peak_entries = self.ptt.peak_occupancy
-
-        return [stage1, stage2, stage3, stage4]
+        return jobs
 
     def _table_persist_jobs(self, table, base_offset: int,
                             area_blocks: int) -> List[Job]:

@@ -386,9 +386,9 @@ def run_recovery_latency(num_ops: int, *_: object
     journal.core.run_trace(iter(trace.build()), lambda: None)
     staged = ctl._on_ckpt_stage
 
-    def crash_after_log(stage_index: int) -> None:
-        staged(stage_index)
-        if stage_index == 1 and ctl._log_plan:
+    def crash_after_log(stage_index: int, role: str) -> None:
+        staged(stage_index, role)
+        if role == "log" and ctl._log_plan:
             ctl.crash()
 
     ctl._on_ckpt_stage = crash_after_log

@@ -3,9 +3,11 @@ counterexamples, and explored graphs inside the static tables."""
 
 import pytest
 
-from repro.analysis.verify import (VERIFY_SYSTEMS, VERIFY_WORKLOADS,
-                                   build_exploration, extract_facts,
-                                   run_verify)
+from repro.analysis.verify import (PROTOCOL_FILES, VERIFY_SYSTEMS,
+                                   VERIFY_WORKLOADS, build_exploration,
+                                   extract_facts, run_verify)
+from repro.baselines import journaling, shadow
+from repro.core import controller
 from repro.fuzz.plan import FUZZ_SYSTEMS
 from repro.fuzz.workloads import WORKLOAD_NAMES
 
@@ -25,14 +27,22 @@ def test_extraction_is_exact_on_shipped_tree(facts):
     # Zero warnings: every protocol fact resolves from the sources.
     # A refactor that breaks an anchor shows up here first.
     assert facts.warnings == []
-    assert len(facts.files) == 7
+    assert len(facts.files) == len(PROTOCOL_FILES) == 7
+    assert sorted(facts.plans) == ["journal", "shadow", "thynvm"]
 
 
 def test_extracted_checkpoint_shape(facts):
-    assert facts.thynvm_stage_roles == ["data:entry", "table:btt",
-                                        "data:pe", "table:ptt"]
-    assert facts.journal_stage_roles == ["log", "home"]
-    assert facts.journal_capture_stage == 1
+    # Verify reads the very literals the planners walk.
+    for name, module in (("thynvm", controller), ("journal", journaling),
+                         ("shadow", shadow)):
+        assert [(stage.role, stage.dest) for stage in facts.plans[name]] \
+            == [(role, dest.name) for role, dest in module.CHECKPOINT_PLAN]
+    assert [stage.role for stage in facts.plans["thynvm"]] == [
+        "temp", "btt", "page", "ptt"]
+    assert [(stage.role, stage.dest) for stage in facts.plans["journal"]] \
+        == [("cpu", "BACKUP"), ("log", "LOG"), ("home", "HOME")]
+    assert [stage.dest for stage in facts.plans["shadow"]] == [
+        "BACKUP", "COMPLEMENT"]
     assert facts.promotion is not None
     assert facts.promotion.kind == "committed-derived"
     assert facts.promotion.defers_mixed

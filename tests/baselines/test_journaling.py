@@ -94,9 +94,9 @@ def test_crash_after_log_commit_replays_log(system):
     # in-place writes commit: recovery must replay the log.
     original = system.ctl._on_ckpt_stage
 
-    def crash_after_log(stage_index):
-        original(stage_index)
-        if stage_index == 1:
+    def crash_after_log(stage_index, role):
+        original(stage_index, role)
+        if role == "log":
             system.ctl.crash()
 
     system.ctl._on_ckpt_stage = crash_after_log

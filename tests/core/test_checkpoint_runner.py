@@ -48,10 +48,11 @@ def test_stage_barrier_ordering(setup):
     stage2 = [write_job((100 + i) * 64) for i in range(8)]
     run = CheckpointRun(engine, memctrl, [stage1, stage2], 64 * 10_000,
                         lambda: seen_stages.append("commit"),
-                        on_stage=lambda i: seen_stages.append(i))
+                        on_stage=lambda i, role: seen_stages.append((i, role)),
+                        roles=("log", "home"))
     run.start()
     engine.run_until_idle()
-    assert seen_stages == [0, 1, "commit"]
+    assert seen_stages == [(0, "log"), (1, "home"), "commit"]
 
 
 def test_copy_jobs_move_data(setup):

@@ -59,8 +59,7 @@ def seed_early_record(system, patch=setattr):
     elif system == "journal":
         cls, planner, record = (JournalingController, "_checkpoint_stages",
                                 JournalingController._capture_log)
-        patch(cls, "_on_ckpt_stage", lambda self, stage_index: None)
-        patch(cls, "_aux_stage_done", lambda self, stage_index: None)
+        patch(cls, "_on_ckpt_stage", lambda self, stage_index, role: None)
     else:
         raise ValueError(f"no early-record bug for {system!r}")
     plan = getattr(cls, planner)
