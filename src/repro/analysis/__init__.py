@@ -11,16 +11,14 @@ An AST-based analyzer with six rule families, run as ``repro lint``:
   methods;
 * **api** — MemoryPort implementors must carry the full port surface,
   and ``__all__`` declarations must stay truthful;
-* **persist** — the §4.4 persist-ordering contract: commits dominated
-  by fences over outstanding durable writes, immutable committed
-  snapshots, no table mutation under an in-flight table persist
-  (backed by the interprocedural effect graph in ``effects.py``);
+* **persist** — committed snapshots are immutable: a commit swaps in
+  a new snapshot instead of mutating the one recovery may read;
 * **race** — same-cycle event handlers must not write the same
-  attribute unless explicitly sequenced (heap-insertion-order hazard);
+  attribute unless explicitly sequenced (heap-insertion-order hazard;
+  backed by the interprocedural effect graph in ``effects.py``);
 * **typestate** — the bulk-run protocol: monotone, never-aliased
   progress cursors (``completed <= serviced <= issued <= total``),
-  congruent parallel arrays, the tail-merge admission contract and
-  crashed-flag gating.
+  congruent parallel arrays and the tail-merge admission contract.
 
 The static crash-consistency model checker (``repro verify``) lives in
 the :mod:`repro.analysis.verify` subpackage; it is intentionally *not*

@@ -1,10 +1,11 @@
-"""Interprocedural write-effect graph for the persist-order rules.
+"""Interprocedural write-effect graph: the static crash surface.
 
 ThyNVM's crash-consistency argument is an *ordering* argument: data
 writes must be durable before the BTT/PTT metadata that makes them
-visible commits (paper §4.4), and committed metadata must never be
-mutated outside a checkpoint or recovery path.  This module builds the
-static model those rules reason over:
+visible commits (paper §4.4).  This module classifies the protocol
+sources' persist, fence and commit points, which the crash-site
+taxonomy (:mod:`repro.fuzz.sites`) anchors its probe kinds to, and
+links them into the call graph the ``race-same-cycle`` rule reads:
 
 * every function/lambda in the scanned tree becomes a
   :class:`FunctionInfo` holding a source-ordered stream of
@@ -13,16 +14,11 @@ static model those rules reason over:
 * :class:`EffectGraph` links the per-module streams into a project-wide
   call graph (direct calls, deferred completion callbacks, and
   constructor-stored callbacks such as ``CheckpointRun(..., on_commit)``
-  resolved at their ``self.on_commit()`` invocation sites), then runs
-  two fixpoints: per-function *transfer summaries* for the boolean
-  "writes outstanding since the last fence callback" state, and joined
-  *entry states* propagated from every call/registration site.
+  resolved at their ``self.on_commit()`` invocation sites), then
+  computes each handler's transitive write footprint.
 
-The model is deliberately conservative in the direction the rules need:
-an unknown device kind counts as a durable write, a name that resolves
-to several functions ORs their summaries, and a function with no known
-callers is assumed to start fenced (the rules check *visible* ordering
-violations, not all imaginable call sequences).  The property test in
+The classification is conservative: an unknown device kind counts as
+a durable write.  The property test in
 ``tests/property/test_effect_graph_runtime.py`` checks the other
 direction at runtime: effects observed in instrumented runs must be a
 subset of what this graph predicts.
@@ -74,8 +70,7 @@ from __future__ import annotations
 import ast
 import enum
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
-                    Set, Tuple)
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .context import ModuleContext
 
@@ -461,7 +456,7 @@ class ScheduleSite:
 
 
 class EffectGraph:
-    """Linked, summarised effect graph over every scanned module."""
+    """Linked effect graph over every scanned module."""
 
     def __init__(self) -> None:
         self.functions: Dict[str, FunctionInfo] = {}
@@ -470,9 +465,6 @@ class EffectGraph:
         self._by_module_name: Dict[Tuple[str, str], List[str]] = {}
         # registered constructor-stored callbacks: (class, param) -> quals
         self._registered: Dict[Tuple[str, str], Set[str]] = {}
-        # (class, param) pairs whose args defer to the ctor site instead
-        self._transfer: Dict[str, Tuple[bool, bool]] = {}
-        self.entry_state: Dict[str, bool] = {}
         self._footprints: Dict[str, FrozenSet[Tuple[str, str]]] = {}
         self._edges: Dict[str, FrozenSet[str]] = {}
 
@@ -490,8 +482,6 @@ class EffectGraph:
                 graph.classes.setdefault(class_info.name, []).append(class_info)
         graph._index()
         graph._link()
-        graph._summarise()
-        graph._propagate_entries()
         graph._compute_footprints()
         return graph
 
@@ -606,79 +596,6 @@ class EffectGraph:
                                           ref.via_self, caller))
         event.callees = tuple(dict.fromkeys(callees))
         event.deferred = tuple(dict.fromkeys(deferred))
-
-    # -- dataflow ---------------------------------------------------------
-
-    def scan(self, qualname: str, entry: bool,
-             on_event: Optional[Callable[[Event, bool], None]] = None,
-             ) -> bool:
-        """Walk one function's events with the unfenced-writes state.
-
-        ``on_event(event, state_before)`` observes every event;
-        returns the exit state.  The state means "a durable data or
-        table-persist write may still be queued, unfenced".
-        """
-        info = self.functions[qualname]
-        state = entry
-        for event in info.events:
-            if on_event is not None:
-                on_event(event, state)
-            if event.effect in (Effect.DATA_WRITE, Effect.BULK_WRITE,
-                                Effect.TABLE_PERSIST):
-                state = True
-            elif event.effect is None:
-                for callee in event.callees:
-                    transfer = self._transfer.get(callee)
-                    if transfer is not None and transfer[1 if state else 0]:
-                        state = True
-                        break
-        return state
-
-    def callback_entry(self, event: Event, state_before: bool) -> bool:
-        """Entry state handed to ``event``'s deferred callbacks."""
-        if event.effect == Effect.FENCE:
-            return False                 # fires only after the drain
-        if event.effect in (Effect.DATA_WRITE, Effect.BULK_WRITE,
-                            Effect.TABLE_PERSIST):
-            return True
-        return state_before
-
-    def _summarise(self) -> None:
-        self._transfer = {qualname: (False, False)
-                          for qualname in self.functions}
-        changed = True
-        while changed:
-            changed = False
-            for qualname in sorted(self.functions):
-                new = (self.scan(qualname, False), self.scan(qualname, True))
-                if new != self._transfer[qualname]:
-                    self._transfer[qualname] = new
-                    changed = True
-
-    def transfer(self, qualname: str, entry: bool) -> bool:
-        return self._transfer[qualname][1 if entry else 0]
-
-    def _propagate_entries(self) -> None:
-        self.entry_state = {qualname: False for qualname in self.functions}
-        changed = True
-        while changed:
-            changed = False
-            for qualname in sorted(self.functions):
-
-                def feed(event: Event, state_before: bool) -> None:
-                    nonlocal changed
-                    targets = list(event.deferred)
-                    entry = self.callback_entry(event, state_before)
-                    for target in event.callees:
-                        if not self.entry_state.get(target, True) and state_before:
-                            self.entry_state[target] = True
-                            changed = True
-                    for target in targets:
-                        if not self.entry_state.get(target, True) and entry:
-                            self.entry_state[target] = True
-                            changed = True
-
-                self.scan(qualname, self.entry_state[qualname], feed)
 
     # -- race footprints --------------------------------------------------
 

@@ -27,7 +27,7 @@ class Severity(enum.Enum):
 class Finding:
     """One diagnostic emitted by a rule."""
 
-    rule: str              # rule id, e.g. "det-set-iter"
+    rule: str              # rule id, e.g. "det-wallclock"
     severity: Severity
     path: str              # posix path of the offending module
     line: int              # 1-based

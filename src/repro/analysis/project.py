@@ -1,10 +1,8 @@
 """Cross-module project index.
 
 Some rules need facts that live in *other* modules than the one being
-checked: which attribute names are annotated as sets anywhere in the
-project (the determinism rules), which fields make up a BTT/PTT entry
-(the mutation rule), and what the MemoryPort protocol surface is (the
-API rule).  The runner builds one :class:`ProjectIndex` over every
+checked: which fields make up a BTT/PTT entry (the mutation rule), and
+what the MemoryPort protocol surface is (the API rule).  The runner builds one :class:`ProjectIndex` over every
 scanned module before rules run.
 
 When the defining module is not part of the scanned set (e.g. linting a
@@ -41,58 +39,18 @@ DEFAULT_PORT_SPEC: Dict[str, Tuple[str, ...]] = {
     "write_block": ("addr", "origin", "data", "callback"),
 }
 
-_SET_TYPE_NAMES = frozenset({"Set", "FrozenSet", "MutableSet",
-                             "set", "frozenset"})
-
-
-def annotation_is_set(annotation: ast.AST) -> bool:
-    """True when an annotation expression denotes a set type."""
-    node = annotation
-    if isinstance(node, ast.Subscript):       # Set[int], set[int]
-        node = node.value
-    if isinstance(node, ast.Attribute):       # typing.Set
-        return node.attr in _SET_TYPE_NAMES
-    if isinstance(node, ast.Name):
-        return node.id in _SET_TYPE_NAMES
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        # String annotations: "Set[int]"
-        text = node.value.split("[", 1)[0].strip()
-        return text.rsplit(".", 1)[-1] in _SET_TYPE_NAMES
-    return False
-
-
 @dataclass
 class ProjectIndex:
     """Facts aggregated across every scanned module."""
 
     modules: List[ModuleContext] = field(default_factory=list)
-    # Attribute names annotated as Set[...] anywhere in the project
-    # (class-level AnnAssign or `self.x: Set[...]` in methods).
-    set_attributes: FrozenSet[str] = frozenset()
     # Mutable fields of BlockEntry/PageEntry.
     entry_fields: FrozenSet[str] = DEFAULT_ENTRY_FIELDS
     # MemoryPort protocol surface: method -> leading params after self.
     port_spec: Dict[str, Tuple[str, ...]] = field(
         default_factory=lambda: dict(DEFAULT_PORT_SPEC))
-    # Linked interprocedural effect graph (persist/race rule families).
+    # Linked interprocedural effect graph (race rule family).
     effects: Optional[EffectGraph] = None
-
-
-def _collect_set_attributes(tree: ast.Module) -> FrozenSet[str]:
-    names = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.AnnAssign):
-            continue
-        if not annotation_is_set(node.annotation):
-            continue
-        target = node.target
-        if isinstance(target, ast.Name):
-            # Class-level annotation (dataclass field) — attribute name.
-            names.add(target.id)
-        elif isinstance(target, ast.Attribute):
-            # `self.x: Set[int] = ...` in a method.
-            names.add(target.attr)
-    return frozenset(names)
 
 
 def _collect_entry_fields(tree: ast.Module) -> FrozenSet[str]:
@@ -126,18 +84,15 @@ def _collect_port_spec(tree: ast.Module) -> Dict[str, Tuple[str, ...]]:
 
 def build_index(modules: Sequence[ModuleContext]) -> ProjectIndex:
     """Aggregate cross-module facts over all scanned modules."""
-    set_attrs = set()
     entry_fields: FrozenSet[str] = frozenset()
     port_spec: Dict[str, Tuple[str, ...]] = {}
     for module in modules:
-        set_attrs.update(_collect_set_attributes(module.tree))
         if module.relpath.endswith("core/metadata.py"):
             entry_fields = entry_fields | _collect_entry_fields(module.tree)
         if module.relpath.endswith("repro/port.py"):
             port_spec = _collect_port_spec(module.tree)
     return ProjectIndex(
         modules=list(modules),
-        set_attributes=frozenset(set_attrs),
         entry_fields=entry_fields or DEFAULT_ENTRY_FIELDS,
         port_spec=port_spec or dict(DEFAULT_PORT_SPEC),
         effects=EffectGraph.build(modules),

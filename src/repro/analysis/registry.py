@@ -26,7 +26,8 @@ class Rule:
     implement :meth:`check`."""
 
     id: str = ""
-    family: str = ""    # "determinism" | "protocol" | "api" | "persist" | "race"
+    # "determinism" | "protocol" | "api" | "persist" | "race" | "typestate"
+    family: str = ""
     severity: Severity = Severity.ERROR
     description: str = ""
     # Optional teaching material surfaced by `repro lint --explain`.

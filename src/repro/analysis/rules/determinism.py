@@ -1,29 +1,21 @@
 """Determinism lint: the simulator must be bit-reproducible.
 
 The benchmark harness compares systems by exact cycle counts, and the
-crash-consistency tests replay identical traces; any dependence on
-wall-clock time, process-global RNG state, CPython object identity or
-set iteration order makes runs non-comparable.  These rules apply only
-inside the simulator-decision scope (``repro/sim``, ``repro/core``,
-``repro/baselines`` by default — see ``LintConfig.determinism_scope``).
-
-* ``det-wallclock``     — calls that read the host clock.
-* ``det-global-random`` — module-level ``random`` functions (use a
-  seeded ``random.Random`` instance instead).
-* ``det-id-order``      — ``id()`` used as an ordering key.
-* ``det-set-iter``      — iterating a set (``for``, comprehensions,
-  ``list``/``tuple`` conversion) in an order-sensitive position.
-* ``det-set-pop``       — ``set.pop()`` (removes an arbitrary element).
+crash-consistency tests replay identical traces; any dependence on the
+host clock makes runs non-comparable.  A host-time dependency stays
+latent on a fast host, so the golden outputs cannot see it.  The rule
+applies only inside the simulator-decision scope (``repro/sim``,
+``repro/core``, ``repro/baselines`` by default — see
+``LintConfig.determinism_scope``).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Dict, Iterator, Optional, Set
+from typing import TYPE_CHECKING, Dict, Iterator, Optional
 
-from ..context import ModuleContext, attach_parents, parent_of
+from ..context import ModuleContext
 from ..findings import Finding
-from ..project import annotation_is_set
 from ..registry import Rule, register
 
 if TYPE_CHECKING:
@@ -35,24 +27,6 @@ _WALLCLOCK_TIME_FNS = frozenset({
     "perf_counter", "perf_counter_ns", "process_time", "sleep",
 })
 _WALLCLOCK_DATETIME_FNS = frozenset({"now", "utcnow", "today"})
-
-# random-module functions that draw from (or mutate) the global RNG.
-_GLOBAL_RANDOM_FNS = frozenset({
-    "random", "randint", "randrange", "uniform", "choice", "choices",
-    "shuffle", "sample", "gauss", "normalvariate", "expovariate",
-    "betavariate", "gammavariate", "lognormvariate", "paretovariate",
-    "triangular", "vonmisesvariate", "weibullvariate", "seed",
-    "getrandbits", "randbytes",
-})
-
-# Consumers whose result does not depend on argument iteration order.
-_ORDER_INSENSITIVE_CALLEES = frozenset({
-    "sorted", "min", "max", "sum", "len", "any", "all",
-    "set", "frozenset",
-})
-
-_SET_MUTATORS = frozenset({"pop"})
-
 
 def _imported_names(tree: ast.Module) -> Dict[str, str]:
     """name-in-module -> dotted origin ("time", "datetime.datetime"...)."""
@@ -81,59 +55,6 @@ def _call_dotted(node: ast.Call, origins: Dict[str, str]) -> Optional[str]:
     base = origin if origin is not None else func.id
     parts.append(base)
     return ".".join(reversed(parts))
-
-
-class _FunctionSets(ast.NodeVisitor):
-    """Names bound to sets inside one function (annotation or literal)."""
-
-    def __init__(self) -> None:
-        self.names: Set[str] = set()
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if isinstance(node.target, ast.Name) and annotation_is_set(
-                node.annotation):
-            self.names.add(node.target.id)
-        self.generic_visit(node)
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        value = node.value
-        is_set_value = (
-            isinstance(value, (ast.Set, ast.SetComp))
-            or (isinstance(value, ast.Call)
-                and isinstance(value.func, ast.Name)
-                and value.func.id in ("set", "frozenset")))
-        if is_set_value:
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    self.names.add(target.id)
-        self.generic_visit(node)
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        pass  # do not descend into nested functions
-
-    visit_AsyncFunctionDef = visit_FunctionDef
-    visit_Lambda = visit_FunctionDef
-
-
-def _local_set_names(module: ModuleContext) -> Dict[ast.AST, Set[str]]:
-    """Per-function map of locally set-typed names."""
-    result: Dict[ast.AST, Set[str]] = {}
-    for node in ast.walk(module.tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            collector = _FunctionSets()
-            for stmt in node.body:
-                collector.visit(stmt)
-            result[node] = collector.names
-    return result
-
-
-def _owner_function(node: ast.AST) -> Optional[ast.AST]:
-    current = parent_of(node)
-    while current is not None:
-        if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return current
-        current = parent_of(current)
-    return None
 
 
 class _DeterminismRule(Rule):
@@ -169,150 +90,3 @@ class WallClockRule(_DeterminismRule):
                     parts[-1] in _WALLCLOCK_DATETIME_FNS:
                 yield self.finding(module, node,
                                    f"wall-clock call {dotted}()")
-
-
-@register
-class GlobalRandomRule(_DeterminismRule):
-    id = "det-global-random"
-    description = ("module-level random.* draws from process-global RNG "
-                   "state; use a seeded random.Random instance")
-
-    def check(self, module: ModuleContext, project: ProjectIndex,
-              config: LintConfig) -> Iterator[Finding]:
-        if not self.in_scope(module, config):
-            return
-        origins = _imported_names(module.tree)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = _call_dotted(node, origins)
-            if dotted is None:
-                continue
-            parts = dotted.split(".")
-            if parts[0] == "random" and len(parts) == 2 and \
-                    parts[1] in _GLOBAL_RANDOM_FNS:
-                yield self.finding(
-                    module, node,
-                    f"unseeded global RNG call {dotted}(); "
-                    f"use random.Random(seed)")
-
-
-@register
-class IdOrderingRule(_DeterminismRule):
-    id = "det-id-order"
-    description = ("id() as an ordering key depends on CPython allocation "
-                   "addresses and varies run to run")
-
-    def check(self, module: ModuleContext, project: ProjectIndex,
-              config: LintConfig) -> Iterator[Finding]:
-        if not self.in_scope(module, config):
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = node.func
-            is_order_call = (
-                (isinstance(callee, ast.Name)
-                 and callee.id in ("sorted", "min", "max"))
-                or (isinstance(callee, ast.Attribute)
-                    and callee.attr == "sort"))
-            if not is_order_call:
-                continue
-            for keyword in node.keywords:
-                if keyword.arg != "key":
-                    continue
-                value = keyword.value
-                uses_id = (
-                    (isinstance(value, ast.Name) and value.id == "id")
-                    or any(isinstance(sub, ast.Call)
-                           and isinstance(sub.func, ast.Name)
-                           and sub.func.id == "id"
-                           for sub in ast.walk(value)))
-                if uses_id:
-                    yield self.finding(module, keyword.value,
-                                       "ordering by id() is nondeterministic")
-
-
-@register
-class SetIterationRule(_DeterminismRule):
-    id = "det-set-iter"
-    description = ("iterating a set in an order-sensitive position; "
-                   "wrap in sorted(...)")
-
-    def check(self, module: ModuleContext, project: ProjectIndex,
-              config: LintConfig) -> Iterator[Finding]:
-        if not self.in_scope(module, config):
-            return
-        attach_parents(module.tree)
-        local_sets = _local_set_names(module)
-
-        def is_set_expr(expr: ast.AST) -> bool:
-            if isinstance(expr, (ast.Set, ast.SetComp)):
-                return True
-            if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name):
-                return expr.func.id in ("set", "frozenset")
-            if isinstance(expr, ast.Attribute):
-                return expr.attr in project.set_attributes
-            if isinstance(expr, ast.Name):
-                owner = _owner_function(expr)
-                return (owner is not None
-                        and expr.id in local_sets.get(owner, set()))
-            return False
-
-        def flag(expr: ast.AST) -> Iterator[Finding]:
-            if is_set_expr(expr):
-                yield self.finding(
-                    module, expr,
-                    "set iteration order is arbitrary; wrap in sorted(...)")
-
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                yield from flag(node.iter)
-            elif isinstance(node, (ast.ListComp, ast.GeneratorExp,
-                                   ast.DictComp)):
-                # A comprehension fed straight into an order-insensitive
-                # consumer (sorted, min, sum, set, ...) is fine.
-                parent = parent_of(node)
-                if (isinstance(parent, ast.Call)
-                        and isinstance(parent.func, ast.Name)
-                        and parent.func.id in _ORDER_INSENSITIVE_CALLEES):
-                    continue
-                for generator in node.generators:
-                    yield from flag(generator.iter)
-            elif isinstance(node, ast.Call) and \
-                    isinstance(node.func, ast.Name) and \
-                    node.func.id in ("list", "tuple") and node.args:
-                yield from flag(node.args[0])
-
-
-@register
-class SetPopRule(_DeterminismRule):
-    id = "det-set-pop"
-    description = "set.pop() removes an arbitrary element"
-
-    def check(self, module: ModuleContext, project: ProjectIndex,
-              config: LintConfig) -> Iterator[Finding]:
-        if not self.in_scope(module, config):
-            return
-        attach_parents(module.tree)
-        local_sets = _local_set_names(module)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call) or node.args or node.keywords:
-                continue
-            func = node.func
-            if not isinstance(func, ast.Attribute) or \
-                    func.attr not in _SET_MUTATORS:
-                continue
-            receiver = func.value
-            is_set = False
-            if isinstance(receiver, ast.Attribute):
-                is_set = receiver.attr in project.set_attributes
-            elif isinstance(receiver, ast.Name):
-                owner = _owner_function(receiver)
-                is_set = (owner is not None
-                          and receiver.id in local_sets.get(owner, set()))
-            if is_set:
-                yield self.finding(
-                    module, node,
-                    "set.pop() removes an arbitrary element; "
-                    "use sorted(...)[0] / explicit selection")

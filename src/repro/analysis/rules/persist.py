@@ -1,22 +1,19 @@
-"""Persist-order dataflow rules (family: ``persist``).
+"""Committed-snapshot immutability (family: ``persist``).
 
-ThyNVM's §4.4 ordering contract, statically: data must be durable
-before the metadata that makes it visible commits, committed metadata
-is immutable outside a commit, and an in-flight table persist must not
-see the table mutate under it.  All three rules read the
-interprocedural :class:`~repro.analysis.effects.EffectGraph` built by
-the project index; scoping comes from ``LintConfig.persist_scope``
-(default: ``repro/core/`` + ``repro/mem/``).
+Recovery may read the committed snapshot (``committed_meta``, the
+paper's C_last) at any crash point, so it is never mutated in place: a
+commit builds a new snapshot and swaps it in.  Scoping comes from
+``LintConfig.persist_scope`` (default: ``repro/core/`` +
+``repro/mem/``).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Iterator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Iterator
 
 from ..context import ModuleContext
-from ..effects import (COMMIT_ATTRIBUTE, STRUCTURAL_MUTATORS, Effect,
-                       EffectGraph, Event)
+from ..effects import COMMIT_ATTRIBUTE, STRUCTURAL_MUTATORS
 from ..findings import Finding, Severity
 from ..registry import Rule, register
 
@@ -32,14 +29,6 @@ _MUTATING_METHODS = STRUCTURAL_MUTATORS | frozenset({
 })
 
 
-def effect_graph(project: ProjectIndex) -> EffectGraph:
-    """The index-attached graph, or a fresh one for bare indexes."""
-    graph = getattr(project, "effects", None)
-    if graph is None:
-        graph = EffectGraph.build(project.modules)
-    return graph
-
-
 def _chain_has_committed(node: ast.AST) -> bool:
     """True when an attribute/subscript chain passes through
     ``committed_meta`` *above* its root (i.e. access through it)."""
@@ -52,69 +41,6 @@ def _chain_has_committed(node: ast.AST) -> bool:
         else:
             current = current.value
     return False
-
-
-@register
-class UnfencedCommitRule(Rule):
-    """Metadata commit reachable with unfenced durable writes."""
-
-    id = "persist-unfenced-commit"
-    family = "persist"
-    severity = Severity.ERROR
-    description = ("committed_meta is assigned while durable data or "
-                   "table-persist writes may still be queued unfenced; "
-                   "the commit must run from a fence_writes/persist "
-                   "barrier callback (paper §4.4)")
-    rationale = (
-        "ThyNVM's atomicity argument hinges on the commit record being "
-        "the *last* thing to become durable in a checkpoint: every data "
-        "block and BTT/PTT image must drain from the NVM write queue "
-        "first.  A commit that is statically reachable while a durable "
-        "write may still be queued can, after a crash at the wrong "
-        "cycle, publish metadata that points at never-written data.")
-    example_bad = (
-        "self._issue_write(DeviceKind.NVM, addr, origin, data, None)\n"
-        "self.committed_meta = self._snapshot(epoch)   # write unfenced")
-    example_good = (
-        "self._issue_write(DeviceKind.NVM, addr, origin, data, None)\n"
-        "self.memctrl.fence_writes(DeviceKind.NVM, self._commit)\n"
-        "...\n"
-        "def _commit(self):\n"
-        "    self.committed_meta = self._snapshot(epoch)  # post-drain")
-
-    def check(self, module: ModuleContext, project: ProjectIndex,
-              config: LintConfig) -> Iterator[Finding]:
-        if not module.in_any(config.persist_scope):
-            return
-        graph = effect_graph(project)
-        for qualname in sorted(graph.functions):
-            info = graph.functions[qualname]
-            if info.module != module.relpath:
-                continue
-            last_write: List[Optional[Event]] = [None]
-            hits: List[Tuple[Event, Optional[Event]]] = []
-
-            def observe(event: Event, state: bool) -> None:
-                if event.effect in (Effect.DATA_WRITE, Effect.BULK_WRITE,
-                                    Effect.TABLE_PERSIST):
-                    last_write[0] = event
-                elif event.effect is Effect.COMMIT and state:
-                    hits.append((event, last_write[0]))
-
-            graph.scan(qualname, graph.entry_state.get(qualname, False),
-                       observe)
-            for event, write in hits:
-                if write is not None:
-                    origin = (f"a durable write issued at line {write.line} "
-                              f"is not fence-covered")
-                else:
-                    origin = ("durable writes may be outstanding when "
-                              f"{info.name} is entered")
-                yield self.finding(
-                    module, event.node,
-                    f"metadata commit in {info.name} without a dominating "
-                    f"persist fence: {origin}; commit from a "
-                    f"fence_writes() callback instead")
 
 
 @register
@@ -171,78 +97,7 @@ class CommittedMutationRule(Rule):
         if isinstance(target, ast.Subscript):
             return _chain_has_committed(target.value)
         if isinstance(target, ast.Attribute):
-            # `x.committed_meta = ...` swaps the snapshot (fine, and the
-            # unfenced-commit rule owns its ordering); anything *deeper*
-            # mutates through it.
+            # `x.committed_meta = ...` swaps the snapshot (fine);
+            # anything *deeper* mutates through it.
             return _chain_has_committed(target.value)
         return False
-
-
-@register
-class ReentrantPersistCallbackRule(Rule):
-    """Table-persist completion callback re-enters table mutation."""
-
-    id = "persist-reentrant-callback"
-    family = "persist"
-    severity = Severity.ERROR
-    description = ("a completion callback attached to a table-persist "
-                   "issue structurally mutates a translation table; the "
-                   "persisted image races its own source")
-    rationale = (
-        "A BTT/PTT persist walks the live table while its blocks stream "
-        "to NVM.  If the completion callback inserts or removes entries "
-        "synchronously, a multi-job persist can capture a half-mutated "
-        "table — the durable image matches neither the before nor the "
-        "after state.  Mutations must wait for the checkpoint commit.")
-    example_bad = (
-        "jobs = self._table_persist_jobs(self.btt, off, n,\n"
-        "                                callback=self._grow)\n"
-        "def _grow(self):\n"
-        "    self.btt.insert(block)   # mutates mid-persist")
-    example_good = (
-        "jobs = self._table_persist_jobs(self.btt, off, n)\n"
-        "# defer structural changes to the post-commit callback")
-
-    def check(self, module: ModuleContext, project: ProjectIndex,
-              config: LintConfig) -> Iterator[Finding]:
-        if not module.in_any(config.persist_scope):
-            return
-        graph = effect_graph(project)
-        for qualname in sorted(graph.functions):
-            info = graph.functions[qualname]
-            if info.module != module.relpath:
-                continue
-            for event in info.events:
-                if event.effect is not Effect.TABLE_PERSIST:
-                    continue
-                for handler in event.deferred:
-                    site = self._structural_mutation(graph, handler)
-                    if site is None:
-                        continue
-                    where, line = site
-                    yield self.finding(
-                        module, event.node,
-                        f"persist completion callback "
-                        f"{graph.functions[handler].name} reaches a "
-                        f"structural table mutation ({where} line {line}) "
-                        f"while the table image may still be in flight")
-
-    @staticmethod
-    def _structural_mutation(graph: EffectGraph, handler: str,
-                             ) -> Optional[Tuple[str, int]]:
-        seen: Set[str] = set()
-        frontier = [handler]
-        while frontier:
-            current = frontier.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            info = graph.functions.get(current)
-            if info is None:
-                continue
-            for event in info.events:
-                if (event.effect is Effect.TABLE_MUTATE
-                        and event.detail in STRUCTURAL_MUTATORS):
-                    return info.name, event.line
-                frontier.extend(event.callees)   # synchronous reach only
-        return None

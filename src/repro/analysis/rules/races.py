@@ -26,7 +26,6 @@ from ..context import ModuleContext
 from ..effects import EffectGraph, ScheduleSite
 from ..findings import Finding, Severity
 from ..registry import Rule, register
-from .persist import effect_graph
 
 if TYPE_CHECKING:
     from ..project import ProjectIndex
@@ -72,7 +71,7 @@ class SameCycleRaceRule(Rule):
               config: LintConfig) -> Iterator[Finding]:
         if not module.in_any(config.race_scope):
             return
-        graph = effect_graph(project)
+        graph = project.effects or EffectGraph.build(project.modules)
         # One representative (earliest) site per resolved handler, so a
         # handler scheduled from many sites yields one pair, not many.
         representative: Dict[str, ScheduleSite] = {}

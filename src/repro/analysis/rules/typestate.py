@@ -5,18 +5,14 @@ own: four cursors obeying ``0 <= completed <= serviced <= issued <=
 total``, parallel per-block arrays (``block_data`` preallocated to the
 run, ``admit_times`` grown once per admitted block), a tail-merge
 contract on ``grow_bulk``/``try_enqueue_bulk`` (a refused admission
-*must* fall back to a position-exact single request), and crashed-flag
-gating on the controllers that issue runs.  These rules enforce that
-protocol statically, the way the ``persist`` family enforces §4.4
-ordering:
+*must* fall back to a position-exact single request).  These rules
+enforce that protocol statically:
 
 * cursors only ever advance (``typestate-cursor-monotonic``) and are
   never aliased across ranks (``typestate-cursor-order``);
 * the parallel arrays keep slot ``i`` == block ``i``
   (``typestate-parallel-arrays``);
-* admission results are never discarded (``typestate-grow-tail-only``);
-* crashable controllers gate durable work on their crashed flag
-  (``typestate-crashed-use``).
+* admission results are never discarded (``typestate-grow-tail-only``).
 
 Scoping comes from ``LintConfig.typestate_scope`` (default: the
 simulator layers that traffic in ``MemoryRequest.bulk`` runs).  The
@@ -31,10 +27,8 @@ import ast
 from typing import TYPE_CHECKING, Dict, Iterator, Optional, Set, Tuple
 
 from ..context import ModuleContext, attach_parents
-from ..effects import Effect, EffectGraph
 from ..findings import Finding, Severity
 from ..registry import Rule, register
-from .persist import effect_graph
 
 if TYPE_CHECKING:
     from ..project import ProjectIndex
@@ -61,11 +55,6 @@ _GROWN_ARRAYS = frozenset({"admit_times"})
 _RUN_ARRAYS = _FIXED_ARRAYS | _GROWN_ARRAYS | frozenset({"fences"})
 _GROWERS = frozenset({"append", "extend", "insert"})
 _ADMITTERS = frozenset({"grow_bulk", "try_enqueue_bulk"})
-#: Effects that make a method "durable work" for the crashed-use rule.
-_DURABLE_EFFECTS = frozenset({Effect.DATA_WRITE, Effect.BULK_WRITE,
-                              Effect.TABLE_PERSIST, Effect.COMMIT,
-                              Effect.FENCE})
-_CRASH_FLAGS = ("_crashed", "crashed")
 
 
 def _shallow(node: ast.AST) -> Iterator[ast.AST]:
@@ -400,101 +389,3 @@ class GrowTailOnlyRule(_TypestateRule):
                     f"{name}() result discarded; on refusal the caller "
                     f"must admit the block as a position-exact single "
                     f"request (tail-merge order-exactness contract)")
-
-
-@register
-class CrashedUseRule(_TypestateRule):
-    """Durable work on a crashable controller must be gated on its
-    crashed flag."""
-
-    id = "typestate-crashed-use"
-    severity = Severity.ERROR
-    description = ("a public method of a crashable controller (a class "
-                   "defining crash() and a crashed flag) reaches "
-                   "durable writes without consulting _crashed/"
-                   "crashed; post-crash calls must raise CrashedError, "
-                   "not silently write to the recovery image")
-    rationale = (
-        "The crash model freezes a controller: after crash() the only "
-        "legal operations are recovery reads.  A public method that "
-        "can issue durable traffic without checking the crashed flag "
-        "lets a confused caller keep writing *after* the crash point, "
-        "mutating exactly the NVM image recovery is about to read — "
-        "the dynamic fuzzer can only catch the interleavings it "
-        "happens to schedule, so the gate is enforced statically.")
-    example_bad = (
-        "def write_block(self, block, data):\n"
-        "    self._issue_write(DeviceKind.NVM, addr, origin, data, None)")
-    example_good = (
-        "def write_block(self, block, data):\n"
-        "    if self._crashed:\n"
-        "        raise CrashedError(\"write after crash\")\n"
-        "    self._issue_write(DeviceKind.NVM, addr, origin, data, None)")
-
-    def check(self, module: ModuleContext, project: "ProjectIndex",
-              config: "LintConfig") -> Iterator[Finding]:
-        if not self.in_scope(module, config):
-            return
-        graph = effect_graph(project)
-        by_node = {id(info.node): qualname
-                   for qualname, info in graph.functions.items()
-                   if info.module == module.relpath}
-        for cls in ast.walk(module.tree):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            methods = [stmt for stmt in cls.body
-                       if isinstance(stmt, (ast.FunctionDef,
-                                            ast.AsyncFunctionDef))]
-            names = {method.name for method in methods}
-            if "crash" not in names:
-                continue
-            if not any(self._mentions_crashed(m) for m in methods):
-                continue                 # crash() owned elsewhere
-            for method in methods:
-                if method.name.startswith("_") or method.name == "crash":
-                    continue
-                if self._mentions_crashed(method):
-                    continue
-                qualname = by_node.get(id(method))
-                if qualname is None:
-                    continue
-                site = self._durable_reach(graph, qualname)
-                if site is None:
-                    continue
-                where, line = site
-                yield self.finding(
-                    module, method,
-                    f"public method {cls.name}.{method.name} reaches a "
-                    f"durable effect ({where} line {line}) without "
-                    f"consulting the crashed flag; gate on _crashed "
-                    f"and raise CrashedError after a crash")
-
-    @staticmethod
-    def _mentions_crashed(method: ast.AST) -> bool:
-        for node in ast.walk(method):
-            if (isinstance(node, ast.Attribute)
-                    and node.attr in _CRASH_FLAGS):
-                return True
-            if isinstance(node, ast.Name) and node.id == "CrashedError":
-                return True
-        return False
-
-    @staticmethod
-    def _durable_reach(graph: EffectGraph, entry: str,
-                       ) -> Optional[Tuple[str, int]]:
-        """First durable effect reachable through synchronous calls."""
-        seen: Set[str] = set()
-        frontier = [entry]
-        while frontier:
-            current = frontier.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            info = graph.functions.get(current)
-            if info is None:
-                continue
-            for event in info.events:
-                if event.effect in _DURABLE_EFFECTS:
-                    return info.name, event.line
-                frontier.extend(event.callees)
-        return None

@@ -27,12 +27,12 @@ from .registry import all_rules
 
 DEFAULT_DETERMINISM_SCOPE = ("repro/sim/", "repro/core/", "repro/baselines/")
 DEFAULT_CORE_PREFIXES = ("repro/core/",)
-# Where the persist-order dataflow rules apply (the §4.4 machinery).
+# Where the committed-snapshot rule applies (the §4.4 machinery).
 DEFAULT_PERSIST_SCOPE = ("repro/core/", "repro/mem/")
 # Where same-cycle race findings are reported (any scheduling layer).
 DEFAULT_RACE_SCOPE = ("repro/",)
 # Where the bulk-run typestate rules apply: every layer that traffics
-# in MemoryRequest.bulk runs or crashable controllers.
+# in MemoryRequest.bulk runs.
 DEFAULT_TYPESTATE_SCOPE = ("repro/sim/", "repro/mem/", "repro/core/",
                            "repro/baselines/")
 

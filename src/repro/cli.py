@@ -280,9 +280,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     standalone.  ``repro fuzz sites`` prints the crash-site taxonomy.
 
     Deterministic JSON goes to stdout; progress/ETA to stderr.  A
-    corpus regression always fails (exit 20).  A brand-new failure
-    fails too, unless ``--check`` demotes it to a GitHub warning
-    annotation so an exploratory CI job cannot turn flaky-red.
+    corpus regression or a brand-new failure fails the run (exit 20):
+    each plan's verdict is a pure function of its plan string, so a
+    failing plan is a finding, never noise.
     """
     import time as _time
 
@@ -335,12 +335,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             f"bug is back")
     if fresh:
         count = len(report["failures"])
-        if args.check:
-            # Exploratory CI: surface loudly, but do not fail the job.
-            print(f"::warning title=repro fuzz::{count} new "
-                  f"crash-consistency failure(s); minimized reproducers "
-                  f"archived under {options.corpus_dir}/")
-            return 0
         raise FuzzFailure(f"{count} new crash-consistency failure(s); "
                           f"see the JSON report and {options.corpus_dir}/")
     return 0
@@ -550,9 +544,6 @@ def make_parser() -> argparse.ArgumentParser:
     fuzz_parser.add_argument("--quick", action="store_true",
                              help="small census shape and plan budget "
                                   "(CI smoke)")
-    fuzz_parser.add_argument("--check", action="store_true",
-                             help="CI mode: new failures warn (exit 0), "
-                                  "corpus regressions still fail")
     fuzz_parser.add_argument("--jobs", type=int, default=1,
                              help="worker processes (1 = serial fallback, "
                                   "0 = one per CPU)")

@@ -52,7 +52,6 @@ ALLOWED_TRANSITIONS = {
     },
     ProtocolState.NVM_WORKING: {
         ProtocolState.NVM_CHECKPOINTING,  # its epoch ended
-        ProtocolState.DRAM_TEMP,          # coalesced? (not reachable; see tests)
     },
     ProtocolState.NVM_CHECKPOINTING: {
         ProtocolState.CLEAN,             # commit, no new writes
@@ -60,7 +59,6 @@ ALLOWED_TRANSITIONS = {
     },
     ProtocolState.DRAM_TEMP: {
         ProtocolState.DRAM_CHECKPOINTING,  # its epoch ended
-        ProtocolState.NVM_WORKING,         # (not reachable; writes coalesce)
     },
     ProtocolState.DRAM_CHECKPOINTING: {
         ProtocolState.CLEAN,

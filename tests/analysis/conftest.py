@@ -14,8 +14,7 @@ from repro.analysis import LintConfig, run_analysis
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-DETERMINISM_RULES = ("det-wallclock", "det-global-random", "det-id-order",
-                     "det-set-iter", "det-set-pop")
+DETERMINISM_RULES = ("det-wallclock",)
 
 
 def lint_fixture(name, *, select=None, determinism_scope=("",),

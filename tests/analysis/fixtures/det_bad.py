@@ -3,33 +3,15 @@
 Not imported by any test — analyzed as data by tests/analysis.
 """
 
-import random
 import time
 from datetime import datetime
-from typing import Set
+
+__all__ = ["Tracker", "missing_name"]
 
 
 class Tracker:
-    def __init__(self):
-        self.pending: Set[int] = set()
-
     def stamp(self):
         return time.time()                  # det-wallclock
 
     def when(self):
         return datetime.now()               # det-wallclock
-
-    def jitter(self):
-        return random.random()              # det-global-random
-
-    def ordered(self, items):
-        return sorted(items, key=id)        # det-id-order
-
-    def drain(self):
-        for item in self.pending:           # det-set-iter (set attribute)
-            print(item)
-        return self.pending.pop()           # det-set-pop
-
-    def local_iter(self):
-        work = {1, 2, 3}
-        return [x + 1 for x in work]        # det-set-iter (local literal)

@@ -1,26 +1,9 @@
 """Clean fixture: deterministic counterparts of det_bad.py."""
 
-import random
-from typing import Set
-
 
 class Tracker:
-    def __init__(self, seed: int):
-        self.rng = random.Random(seed)      # instance RNG: fine
-        self.pending: Set[int] = set()
+    def __init__(self, now: int):
+        self.now = now                      # simulated time: fine
 
-    def jitter(self):
-        return self.rng.random()
-
-    def ordered(self, items):
-        return sorted(items)
-
-    def drain(self):
-        for item in sorted(self.pending):   # sorted set iteration: fine
-            print(item)
-        return sum(x for x in self.pending)  # order-insensitive consumer
-
-    def take_smallest(self):
-        item = min(self.pending)
-        self.pending.discard(item)
-        return item
+    def stamp(self):
+        return self.now

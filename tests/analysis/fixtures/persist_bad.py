@@ -1,7 +1,6 @@
-"""Persist-order violations: every rule in the persist family fires.
+"""Persist violations: every rule in the persist family fires.
 
-Analyzed as data, never imported — the bare DeviceKind/Origin names
-mirror the real controller's call shapes without needing imports.
+Analyzed as data, never imported.
 """
 
 
@@ -10,37 +9,6 @@ class BadController:
         self.engine = engine
         self.memctrl = memctrl
         self.committed_meta = None      # __init__ is exempt by design
-        self.btt = None
-
-    # -- persist-unfenced-commit: intraprocedural ------------------------
-
-    def flush_and_commit(self, addr, data, epoch):
-        self._issue_write(DeviceKind.NVM, addr, Origin.CPU, data, None)
-        self.committed_meta = self._snapshot(epoch)
-
-    # -- persist-unfenced-commit: the commit lives two calls away, the
-    # unfenced table persist propagates through the entry state --------
-
-    def checkpoint(self, epoch):
-        self._persist_tables()
-        self._commit(epoch)
-
-    def _persist_tables(self):
-        self._table_persist_jobs(self.btt, 0, 4)
-
-    def _commit(self, epoch):
-        self.committed_meta = self._snapshot(epoch)
-
-    # -- persist-unfenced-commit: fencing is asynchronous; committing in
-    # the same synchronous breath as the fence call is still unfenced --
-
-    def fence_then_commit_synchronously(self, addr, data, epoch):
-        self._issue_write(DeviceKind.NVM, addr, Origin.CPU, data, None)
-        self.memctrl.fence_writes(DeviceKind.NVM, self._noop)
-        self.committed_meta = self._snapshot(epoch)
-
-    def _noop(self):
-        pass
 
     # -- persist-committed-mutation --------------------------------------
 
@@ -49,11 +17,3 @@ class BadController:
 
     def grow_committed(self, page, slot):
         self.committed_meta.page_regions.update({page: slot})
-
-    # -- persist-reentrant-callback --------------------------------------
-
-    def persist_with_callback(self):
-        self._table_persist_jobs(self.btt, 0, 4, callback=self._grow)
-
-    def _grow(self):
-        self.btt.insert(7)

@@ -1,75 +1,22 @@
-"""Clean persist-ordering idioms: nothing in the persist family fires.
+"""Clean committed-snapshot idioms: nothing in the persist family fires.
 
-Covers the patterns the real controller uses: commits dominated by an
-asynchronous fence callback, DRAM (volatile) writes before a commit,
-fire-and-forget *reads*, and the CheckpointRun shape where the commit
-callback is registered in a constructor but only invoked post-fence.
+A commit builds a new snapshot and swaps it in whole; reads through
+the committed snapshot are fine.
 """
 
 
 class GoodController:
-    def __init__(self, engine, memctrl):
-        self.engine = engine
-        self.memctrl = memctrl
-        self.committed_meta = None
-        self.btt = None
-        self._pending_epoch = 0
-        self.done = False
-
-    def flush_then_commit(self, addr, data, epoch):
-        self._pending_epoch = epoch
-        self._issue_write(DeviceKind.NVM, addr, Origin.CPU, data, None)
-        # volatile (DRAM) writes never gate the commit:
-        self._issue_fire_and_forget(DeviceKind.DRAM, addr, True,
-                                    Origin.MIGRATION)
-        # a fire-and-forget *read* is not a write effect at all:
-        self._issue_fire_and_forget(DeviceKind.NVM, addr, False, Origin.CPU)
-        self.memctrl.fence_writes(DeviceKind.NVM, self._commit)
-
-    def _commit(self):
-        self.committed_meta = self._snapshot(self._pending_epoch)
-
-    def swap_snapshot(self, epoch):
-        # No durable writes outstanding anywhere on this path.
-        self.committed_meta = self._snapshot(epoch)
-
-    def read_committed(self):
-        return self.committed_meta.epoch
-
-    def persist_with_bookkeeping(self):
-        # A completion callback that only bookkeeps is fine.
-        self._table_persist_jobs(self.btt, 0, 4, callback=self._note)
-
-    def _note(self):
-        self.done = True
-
-
-class Run:
-    """The CheckpointRun shape: on_commit stored by the constructor."""
-
-    def __init__(self, memctrl, on_commit):
-        self.memctrl = memctrl
-        self.on_commit = on_commit
-
-    def start(self):
-        self._issue_write(DeviceKind.NVM, 0, Origin.CHECKPOINT, None, None)
-        self.memctrl.fence_writes(DeviceKind.NVM, self._committed)
-
-    def _committed(self):
-        self.on_commit()
-
-
-class RunOwner:
     def __init__(self, memctrl):
         self.memctrl = memctrl
         self.committed_meta = None
 
-    def begin(self):
-        # Registration happens while writes are outstanding, but the
-        # stored callback is *invoked* post-fence — clean.
-        self._issue_write(DeviceKind.NVM, 1, Origin.CPU, None, None)
-        run = Run(self.memctrl, self._on_commit)
-        run.start()
+    def swap_snapshot(self, epoch):
+        self.committed_meta = self._snapshot(epoch)
 
-    def _on_commit(self):
-        self.committed_meta = self._snapshot(0)
+    def read_committed(self, block):
+        return self.committed_meta.block_regions.get(block)
+
+    def copy_then_edit(self, block, region):
+        fresh = dict(self.committed_meta.block_regions)
+        fresh[block] = region
+        return fresh

@@ -5,17 +5,9 @@ class SuppressedController:
     def __init__(self, memctrl):
         self.memctrl = memctrl
         self.committed_meta = None
-        self.btt = None
-
-    def flush_and_commit(self, addr, data, epoch):
-        self._issue_write(DeviceKind.NVM, addr, Origin.CPU, data, None)
-        self.committed_meta = self._snapshot(epoch)   # lint: ok[persist-unfenced-commit]
 
     def poke_committed(self, block, region):
         self.committed_meta.block_regions[block] = region   # lint: ok[persist-committed-mutation]
 
-    def persist_with_callback(self):
-        self._table_persist_jobs(self.btt, 0, 4, callback=self._grow)   # lint: ok[persist-reentrant-callback]
-
-    def _grow(self):
-        self.btt.insert(7)   # lint: ok[proto-table-mutation]
+    def grow_committed(self, page, slot):
+        self.committed_meta.page_regions.update({page: slot})   # lint: ok

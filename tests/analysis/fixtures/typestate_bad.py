@@ -46,16 +46,3 @@ class BadIssuer:
     def swap_arrays(self, request, total):
         request.admit_times = [0] * total  # wholesale rebind mid-run
 
-
-class BadController:
-    # -- typestate-crashed-use -------------------------------------------
-
-    def __init__(self, memctrl):
-        self.memctrl = memctrl
-        self._crashed = False
-
-    def write_block(self, addr, origin, data):
-        self._issue_write(DeviceKind.NVM, addr, origin, data, None)
-
-    def crash(self):
-        self._crashed = True

@@ -37,16 +37,3 @@ class GoodIssuer:
         self.admit_times = []
         self.fences = []
 
-
-class GoodController:
-    def __init__(self, memctrl):
-        self.memctrl = memctrl
-        self._crashed = False
-
-    def write_block(self, addr, origin, data):
-        if self._crashed:
-            raise CrashedError("write after crash")
-        self._issue_write(DeviceKind.NVM, addr, origin, data, None)
-
-    def crash(self):
-        self._crashed = True

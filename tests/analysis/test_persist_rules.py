@@ -1,11 +1,10 @@
-"""The persist family: unfenced commits, committed-region mutation and
-re-entrant persist callbacks fire on the bad fixture, stay quiet on the
-clean one, and honour inline suppressions."""
+"""The persist family: in-place mutation of the committed snapshot
+fires on the bad fixture, stays quiet on the clean one, and honours
+inline suppressions."""
 
 from .conftest import lint_fixture, rules_fired
 
-PERSIST_RULES = ("persist-unfenced-commit", "persist-committed-mutation",
-                 "persist-reentrant-callback")
+PERSIST_RULES = ("persist-committed-mutation",)
 
 
 def test_bad_fixture_trips_every_persist_rule():
@@ -13,37 +12,10 @@ def test_bad_fixture_trips_every_persist_rule():
     assert set(PERSIST_RULES) == rules_fired(report)
 
 
-def test_unfenced_commit_direct_and_interprocedural():
-    report = lint_fixture("persist_bad.py", select=["persist-unfenced-commit"])
-    lines = sorted(f.line for f in report.findings)
-    # flush_and_commit (direct), _commit (entry-state propagation from
-    # checkpoint -> _persist_tables), and the synchronous commit right
-    # after an *asynchronous* fence call.
-    assert len(lines) == 3
-
-
-def test_commit_after_fence_call_is_still_unfenced():
-    from .conftest import FIXTURES
-    source = (FIXTURES / "persist_bad.py").read_text().splitlines()
-    fence_line = next(i for i, text in enumerate(source, 1)
-                      if "fence_writes" in text)
-    report = lint_fixture("persist_bad.py", select=["persist-unfenced-commit"])
-    # The commit on the line after the fence call still flags: draining
-    # is asynchronous, so the fence has not completed yet.
-    assert any(f.line == fence_line + 1 for f in report.findings)
-
-
 def test_committed_mutation_sites():
     report = lint_fixture("persist_bad.py",
                           select=["persist-committed-mutation"])
     assert len(report.findings) == 2
-
-
-def test_reentrant_callback_names_the_mutator():
-    report = lint_fixture("persist_bad.py",
-                          select=["persist-reentrant-callback"])
-    assert len(report.findings) == 1
-    assert "_grow" in report.findings[0].message
 
 
 def test_good_fixture_is_clean():

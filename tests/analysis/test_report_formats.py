@@ -67,15 +67,15 @@ def test_explain_covers_every_rule():
 
 
 def test_explain_includes_examples_for_new_families():
-    for rule_id in ("persist-unfenced-commit", "race-same-cycle"):
+    for rule_id in ("persist-committed-mutation", "race-same-cycle"):
         text = render_rule_explain(rule_id)
         assert "Why it matters:" in text
         assert "Flagged:" in text and "Clean:" in text
 
 
 def test_cli_explain(capsys):
-    assert main(["lint", "--explain", "persist-unfenced-commit"]) == 0
-    assert "persist-unfenced-commit" in capsys.readouterr().out
+    assert main(["lint", "--explain", "persist-committed-mutation"]) == 0
+    assert "persist-committed-mutation" in capsys.readouterr().out
 
 
 def test_cli_explain_unknown_rule(capsys):

@@ -1,6 +1,6 @@
 """The typestate family: bulk-cursor monotonicity/ordering, parallel
-arrays, the tail-merge contract and crashed-controller gating fire on
-the bad fixture and stay quiet on the clean one."""
+arrays and the tail-merge contract fire on the bad fixture and stay
+quiet on the clean one."""
 
 from .conftest import lint_fixture, rules_fired
 
@@ -9,7 +9,6 @@ TYPESTATE_RULES = (
     "typestate-cursor-order",
     "typestate-parallel-arrays",
     "typestate-grow-tail-only",
-    "typestate-crashed-use",
 )
 
 
@@ -51,13 +50,6 @@ def test_grow_tail_only_flags_both_admitters():
                           select=["typestate-grow-tail-only"])
     called = {f.message.split("(")[0] for f in report.findings}
     assert called == {"grow_bulk", "try_enqueue_bulk"}
-
-
-def test_crashed_use_names_the_durable_site():
-    report = lint_fixture("typestate_bad.py",
-                          select=["typestate-crashed-use"])
-    assert len(report.findings) == 1
-    assert "BadController.write_block" in report.findings[0].message
 
 
 def test_good_fixture_is_clean():

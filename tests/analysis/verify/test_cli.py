@@ -65,8 +65,8 @@ def test_explain_covers_every_check(capsys):
 
 
 def test_explain_falls_back_to_lint_rules(capsys):
-    assert main(["verify", "--explain", "det-set-iter"]) == 0
-    assert "det-set-iter" in capsys.readouterr().out
+    assert main(["verify", "--explain", "det-wallclock"]) == 0
+    assert "det-wallclock" in capsys.readouterr().out
 
 
 def test_explain_unknown_check(capsys):

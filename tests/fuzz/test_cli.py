@@ -54,17 +54,6 @@ def test_campaign_smoke_passes(tmp_path, capsys):
     assert payload["outcomes"] == {"pass": payload["plans"]}
 
 
-def test_campaign_check_mode_demotes_new_failures(tmp_path, capsys):
-    with mock.patch.object(ThyNVMController, "_snapshot",
-                           _buggy_snapshot):
-        code = main(["fuzz", "--quick", "--check", "--no-minimize",
-                     "--systems", "thynvm", "--workloads", "sparse",
-                     "--corpus-dir", str(tmp_path / "corpus")])
-    assert code == 0                              # warn, don't fail
-    out = capsys.readouterr().out
-    assert "::warning" in out
-
-
 def test_campaign_without_check_fails_on_findings(tmp_path, capsys):
     with mock.patch.object(ThyNVMController, "_snapshot",
                            _buggy_snapshot):

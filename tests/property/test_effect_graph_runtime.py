@@ -7,10 +7,9 @@ Two pins between ``repro.analysis.effects`` and the running system:
    and against which device) must be *predicted* by the static effect
    graph for that caller.  A runtime effect with no static counterpart
    would mean the persist-order rules are analyzing a fiction.
-2. **Data before metadata** (paper §4.4): whenever the checkpoint
-   pipeline reaches the commit-record write, the NVM write queue has
-   fully drained — the invariant the ``persist-unfenced-commit`` rule
-   enforces statically.
+2. **Data before metadata** (paper §4.4): every NVM write outstanding
+   when the pre-commit fence is issued is serviced before the commit
+   record goes out.  This half is a runtime check only.
 """
 
 from __future__ import annotations
@@ -67,23 +66,8 @@ def traced_system(monkeypatch):
                  "_table_persist_jobs"):
         trace(name)
 
-    commits = []
-    original_write_commit = CheckpointRun._write_commit
-
-    def checked_write_commit(self):
-        # §4.4: the fence completed — nothing durable may still be queued
-        # when the commit record goes out.
-        depth = self.memctrl.queue_depth(DeviceKind.NVM, True)
-        assert depth == 0, (
-            f"commit record issued with {depth} NVM write(s) still queued")
-        commits.append(self.engine.now)
-        return original_write_commit(self)
-
-    monkeypatch.setattr(CheckpointRun, "_write_commit", checked_write_commit)
-
     system = make_direct()
     system.observed = observed
-    system.commits = commits
     return system
 
 
@@ -127,11 +111,52 @@ def test_runtime_write_effects_are_statically_predicted(traced_system):
     assert len(seen_callers) >= 2
 
 
-def test_nvm_queue_is_drained_at_every_commit_record(traced_system):
-    _drive(traced_system)
-    # Three forced epoch ends -> at least three checkpoint commits, each
-    # of which passed the queue-drained assertion inside the wrapper.
-    assert len(traced_system.commits) >= 3
+def test_nvm_queue_is_drained_at_every_commit_record(monkeypatch):
+    """The drive leaves writes queued at the fence: stores issued while
+    the previous checkpoint is in flight are still in the NVM write
+    queue when its last stage completes.  Writes submitted after the
+    fence may still be queued at the commit, so the check counts the
+    NVM writes serviced since the fence instead of asking for an empty
+    queue."""
+    def serviced(memctrl):
+        return sum(memctrl._nvm.write_counts.values())
+
+    fences = []
+    commits = []
+    drain_and_commit = CheckpointRun._drain_and_commit
+    write_commit = CheckpointRun._write_commit
+
+    def fenced(self):
+        in_flight = sum(1 for _event, request in self.memctrl._nvm.active
+                        .values() if request.is_write)
+        fences.append((self.memctrl.queue_depth(DeviceKind.NVM, True)
+                       + in_flight, serviced(self.memctrl)))
+        return drain_and_commit(self)
+
+    def committing(self):
+        outstanding, before = fences[-1]
+        done = serviced(self.memctrl) - before
+        assert done >= outstanding, (
+            f"commit record issued with {outstanding - done} of "
+            f"{outstanding} fenced NVM write(s) unserviced")
+        commits.append(outstanding)
+        return write_commit(self)
+
+    monkeypatch.setattr(CheckpointRun, "_drain_and_commit", fenced)
+    monkeypatch.setattr(CheckpointRun, "_write_commit", committing)
+
+    system = make_direct()
+    for block in range(64):
+        write_block(system, block, bytes([block]))
+    end_epoch(system, wait_commit=False)
+    for block in range(64):
+        write_block(system, 1000 + 7 * block, bytes([block]))
+    end_epoch(system)
+    end_epoch(system)
+    settle(system.engine)
+    assert len(commits) >= 3
+    # The drive tests the fence only if it left writes outstanding.
+    assert max(commits) > 0
 
 
 def test_static_graph_classifies_the_controller_pipeline():
@@ -144,5 +169,5 @@ def test_static_graph_classifies_the_controller_pipeline():
     assert any(Effect.TABLE_PERSIST in effects for effects in STATIC.values())
     assert any(Effect.COMMIT in effects for effects in STATIC.values())
     assert any(Effect.FENCE in effects for effects in STATIC.values())
-    # _drain_and_commit is where the runtime drain assertion anchors.
+    # _drain_and_commit is where the commit fence is issued.
     assert Effect.FENCE in STATIC["_drain_and_commit"]
