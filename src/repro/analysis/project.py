@@ -2,8 +2,9 @@
 
 Some rules need facts that live in *other* modules than the one being
 checked: which fields make up a BTT/PTT entry (the mutation rule), and
-what the MemoryPort protocol surface is (the API rule).  The runner builds one :class:`ProjectIndex` over every
-scanned module before rules run.
+what the MemoryPort protocol surface is (the API rule).  The runner
+builds one :class:`ProjectIndex` over every scanned module before rules
+run.
 
 When the defining module is not part of the scanned set (e.g. linting a
 single file), the index falls back to the constants below, which mirror

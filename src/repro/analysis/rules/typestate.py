@@ -3,7 +3,7 @@
 PR 8's batched array-core gave every bulk run a small protocol of its
 own: four cursors obeying ``0 <= completed <= serviced <= issued <=
 total``, parallel per-block arrays (``block_data`` preallocated to the
-run, ``admit_times`` grown once per admitted block), a tail-merge
+run, ``admit_times`` grown once per admitted block) and a tail-merge
 contract on ``grow_bulk``/``try_enqueue_bulk`` (a refused admission
 *must* fall back to a position-exact single request).  These rules
 enforce that protocol statically:

@@ -73,6 +73,10 @@ def test_gc_dropped_block_reads_from_home():
         write_block(s, 200, b"churn")
         end_epoch(s)
     assert read_block(s, 5) == pad(b"victim-data")
+    # An uncommitted rewrite of the block GC took home: the committed
+    # snapshot no longer maps it, so recovery must read home.
+    write_block(s, 5, b"uncommitted")
+    settle(s.engine, 20_000)
     s.ctl.crash()
     assert s.ctl.recover().visible_block(5) == pad(b"victim-data")
 

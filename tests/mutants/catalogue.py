@@ -46,7 +46,8 @@ MUTANTS = (
         "all-lists-missing-name", "core/__init__.py",
         '    "validate_transition",\n',
         '    "validate_transitions",\n',
-        "`from repro.core import *` raises AttributeError",
+        "`from repro.core import *` raises AttributeError "
+        "(tests/test_exports.py)",
         ("api-all-exports",)),
     Mutant(
         "port-signature-swapped", "baselines/ideal.py",
@@ -55,7 +56,8 @@ MUTANTS = (
         "                    callback=None, data: Optional[bytes] = None,\n"
         "                    on_accept=None) -> None:\n",
         "a positional write_block(addr, origin, data) on an ideal system "
-        "stores nothing and calls its payload",
+        "stores nothing and calls its payload "
+        "(test_port_conformance.py::test_write_without_callbacks_is_fine)",
         ("api-port-surface",)),
     # --- determinism ---------------------------------------------------
     Mutant(
@@ -127,7 +129,8 @@ MUTANTS = (
         "        self._write_record()\n",
         "GC returns a region-A block home, the block is rewritten into "
         "its A slot, and a crash hits before that epoch commits: the "
-        "record still maps the block to A",
+        "record still maps the block to A "
+        "(test_hazard_windows.py::test_gc_dropped_block_reads_from_home)",
         ("persist-committed-mutation",)),
     Mutant(
         "gc-drop-while-table-persists", "core/controller.py",

@@ -5,8 +5,10 @@ Two pins between ``repro.analysis.effects`` and the running system:
 1. **Superset**: every write effect *observed* at runtime (who called
    ``_issue_write`` / ``_issue_fire_and_forget`` / ``_table_persist_jobs``,
    and against which device) must be *predicted* by the static effect
-   graph for that caller.  A runtime effect with no static counterpart
-   would mean the persist-order rules are analyzing a fiction.
+   graph for that caller.  The graph's classification feeds
+   ``race-same-cycle`` and the fuzzer's crash sites
+   (``repro.fuzz.sites``); a runtime effect with no static counterpart
+   would leave both working on a fiction.
 2. **Data before metadata** (paper §4.4): every NVM write outstanding
    when the pre-commit fence is issued is serviced before the commit
    record goes out.  This half is a runtime check only.
@@ -114,32 +116,38 @@ def test_runtime_write_effects_are_statically_predicted(traced_system):
 def test_nvm_queue_is_drained_at_every_commit_record(monkeypatch):
     """The drive leaves writes queued at the fence: stores issued while
     the previous checkpoint is in flight are still in the NVM write
-    queue when its last stage completes.  Writes submitted after the
-    fence may still be queued at the commit, so the check counts the
-    NVM writes serviced since the fence instead of asking for an empty
-    queue."""
-    def serviced(memctrl):
-        return sum(memctrl._nvm.write_counts.values())
-
+    queue when its last stage completes.  At the fence the test records
+    every outstanding NVM write, a single request or a bulk run with
+    the blocks it has admitted so far; the commit record may go out
+    only once each of them has completed.  Writes submitted after the
+    fence may still be queued at the commit."""
     fences = []
     commits = []
     drain_and_commit = CheckpointRun._drain_and_commit
     write_commit = CheckpointRun._write_commit
 
     def fenced(self):
-        in_flight = sum(1 for _event, request in self.memctrl._nvm.active
-                        .values() if request.is_write)
-        fences.append((self.memctrl.queue_depth(DeviceKind.NVM, True)
-                       + in_flight, serviced(self.memctrl)))
+        state = self.memctrl._nvm
+        outstanding = list(state.write_queue.items()) + [
+            request for _event, request in state.active.values()
+            if request.is_write]
+        singles = [request for request in outstanding if request.total == 1]
+        runs = {id(request): (request, request.serviced + request.queued)
+                for request in outstanding if request.total > 1}
+        fences.append((singles, list(runs.values())))
         return drain_and_commit(self)
 
     def committing(self):
-        outstanding, before = fences[-1]
-        done = serviced(self.memctrl) - before
-        assert done >= outstanding, (
-            f"commit record issued with {outstanding - done} of "
-            f"{outstanding} fenced NVM write(s) unserviced")
-        commits.append(outstanding)
+        singles, runs = fences[-1]
+        unserviced = [request.req_id for request in singles
+                      if request.complete_time is None]
+        unserviced += [f"run {request.req_id}: {admitted - request.completed}"
+                       f" block(s)" for request, admitted in runs
+                       if request.completed < admitted]
+        assert not unserviced, (
+            f"commit record issued before fenced NVM writes completed: "
+            f"{unserviced}")
+        commits.append(len(singles) + len(runs))
         return write_commit(self)
 
     monkeypatch.setattr(CheckpointRun, "_drain_and_commit", fenced)

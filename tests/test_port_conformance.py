@@ -70,7 +70,8 @@ def test_unwritten_blocks_read_zero(system):
 
 def test_write_without_callbacks_is_fine(system):
     memsys = system.memsys
-    memsys.write_block(0, Origin.CPU, data=pad(b"fire-and-forget"))
+    # Positional: MemoryPort.write_block(addr, origin, data=None, ...).
+    memsys.write_block(0, Origin.CPU, pad(b"fire-and-forget"))
     got = {}
     memsys.read_block(0, Origin.CPU, lambda r: got.update(d=r.data))
     run_until(system.engine, lambda: "d" in got)
