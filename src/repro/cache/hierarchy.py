@@ -10,12 +10,13 @@ implements the epoch-boundary flush ThyNVM's checkpointing needs
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, List, Optional
 
 from ..config import SystemConfig
 from ..port import MemoryPort
 from ..sim.engine import Engine
-from ..sim.request import Origin
+from ..sim.request import MemoryRequest, Origin
 from ..stats.collector import StatsCollector
 from .cache import Cache
 
@@ -88,16 +89,20 @@ class CacheHierarchy:
         self.stats.cache_misses.add("LLC")
         lookup_latency = (cfg.l1.hit_latency + cfg.l2.hit_latency
                           + cfg.l3.hit_latency)
+        self.engine.schedule(lookup_latency, self._issue_miss, block_addr,
+                             is_write, on_done)
 
-        def issue() -> None:
-            self.port.read_block(
-                block_addr, Origin.CPU,
-                lambda _req: self._miss_fill(block_addr, is_write, on_done))
-
-        self.engine.schedule(lookup_latency, issue)
+    def _issue_miss(self, block_addr: int, is_write: bool,
+                    on_done: Callable[[], None]) -> None:
+        """The LLC miss's memory read, once the lookups have taken
+        their cycles."""
+        self.port.read_block(block_addr, Origin.CPU,
+                             partial(self._miss_fill, block_addr, is_write,
+                                     on_done))
 
     def _miss_fill(self, block_addr: int, is_write: bool,
-                   on_done: Callable[[], None]) -> None:
+                   on_done: Callable[[], None],
+                   _request: MemoryRequest) -> None:
         self._insert_level(self.l3, block_addr, dirty=False)
         self._fill(block_addr, into_l2=True, dirty=is_write)
         on_done()
@@ -168,8 +173,7 @@ class CacheHierarchy:
             self.port.write_block(addr, origin, on_accept=one_accepted)
         if on_initiated is not None:
             scan_cycles = max(10, len(dirty))
-            self.engine.schedule(scan_cycles,
-                                 lambda: on_initiated(len(dirty)))
+            self.engine.schedule(scan_cycles, on_initiated, len(dirty))
 
     def dirty_block_count(self) -> int:
         # On a multi-core machine l3 is the shared LLC, so every core's

@@ -83,9 +83,8 @@ class EpochManager:
         self._arm_timer()
 
     def _arm_timer(self) -> None:
-        epoch = self.active_epoch
-        self.engine.schedule(self.epoch_cycles,
-                             lambda: self._timer_fired(epoch))
+        self.engine.schedule(self.epoch_cycles, self._timer_fired,
+                             self.active_epoch)
 
     def _timer_fired(self, epoch: int) -> None:
         if self._stopped or epoch != self.active_epoch:

@@ -42,7 +42,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..config import SystemConfig
 from ..errors import SimulationError
 from ..sim.engine import Engine
-from ..sim.event import Event
 from ..sim.queueing import BoundedQueue
 from ..sim.request import MemoryRequest
 from ..stats.collector import StatsCollector
@@ -77,7 +76,7 @@ class _DeviceState:
         self.read_queue = read_q
         self.write_queue = write_q
         # bank -> (completion event, request) for in-flight services.
-        self.active: Dict[int, Tuple[Event, MemoryRequest]] = {}
+        self.active: Dict[int, Tuple[list, MemoryRequest]] = {}
         self.kicking = False
         # True when the last full scheduling pass proved no queued block
         # is serviceable (every candidate's bank busy or chain-blocked).
@@ -419,8 +418,8 @@ class MemoryController:
             state.read_queue.drop_all()
             state.write_queue.drop_all()
             state.fence_blockers.clear()
-            for event, request in state.active.values():
-                event.cancel()
+            for entry, request in state.active.values():
+                self.engine.cancel(entry)
                 if request.total > 1:
                     request.fences.clear()
             state.active.clear()

@@ -1,7 +1,6 @@
 """Discrete-event simulation substrate (engine, events, requests, queues)."""
 
 from .engine import Engine
-from .event import Event
 from .request import MemoryRequest, Origin
 
-__all__ = ["Engine", "Event", "MemoryRequest", "Origin"]
+__all__ = ["Engine", "MemoryRequest", "Origin"]

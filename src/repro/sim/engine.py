@@ -1,23 +1,26 @@
 """The discrete-event simulation engine.
 
-A thin, fast wrapper around a binary heap of :class:`~repro.sim.event.Event`
-objects.  Time is measured in CPU cycles (integers).  The engine plays
-the role gem5's event queue plays in the paper's infrastructure.
+A thin, fast wrapper around a binary heap of scheduled events.  Time
+is measured in CPU cycles (integers).  The engine plays the role gem5's
+event queue plays in the paper's infrastructure.
 
 Hot-path design notes (docs/PERFORMANCE.md):
 
-* events *are* their heap entries (``[time, seq, callback, args]``
-  lists), so every heap sift comparison is a C-level list comparison
-  that stops at the unique sequence number — no Python ``__lt__``
-  calls on the push/pop path;
+* an event is a plain ``[time, seq, callback, args]`` list, built and
+  pushed by :meth:`Engine.schedule` and returned to the caller as its
+  handle.  ``seq`` is a monotonically increasing tie-breaker, so events
+  scheduled earlier fire earlier at the same timestamp and every heap
+  sift comparison is a C-level list comparison that stops at the
+  unique sequence number;
 * callbacks take positional arguments stored on the event, so services
   schedule bound methods instead of allocating per-service closures;
-* a live-event counter maintained on schedule/fire/cancel makes
-  :attr:`pending_events` O(1) — backpressure heuristics poll it;
-* cancelled events stay in the heap until popped (cheap cancel), but
-  when they outnumber the live events the heap is compacted so a
-  cancel-heavy phase cannot make every subsequent push pay for dead
-  weight;
+* :meth:`Engine.cancel` clears an entry's callback slot in place and
+  the run loop skips such entries when it pops them.  Its one caller
+  is ``MemoryController.crash()``, which cancels at most one in-flight
+  completion per bank, so cancelled entries are never compacted out of
+  the heap: they wait there to be popped.  :attr:`pending_events` is
+  the heap length minus the cancelled entries still queued, exact and
+  O(1) — backpressure heuristics poll it;
 * the run loop *time-skips*: between events the clock jumps straight
   to the next event's timestamp (and a bounded :meth:`run` jumps to
   ``until``), never ticking through idle cycles.  The jump is clamped
@@ -29,32 +32,31 @@ Hot-path design notes (docs/PERFORMANCE.md):
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Callable, Optional
 
 from ..errors import SimulationError
-from .event import Event
-
-# Compact the heap when cancelled events both exceed this floor and
-# outnumber the live events (amortized O(1) per cancel).
-_COMPACT_MIN_CANCELLED = 64
 
 
 class Engine:
     """Deterministic single-threaded event loop."""
 
     def __init__(self) -> None:
-        self._queue: list[Event] = []
+        self._queue: list[list] = []
         self._seq = 0
         self.now: int = 0
         self._events_fired = 0
-        self._live = 0              # scheduled, not yet fired or cancelled
-        self._cancelled_in_heap = 0
+        self._cancelled = 0         # cancelled entries still in the heap
 
     # --- scheduling ----------------------------------------------------
 
     def schedule(self, delay: int, callback: Callable[..., None],
-                 *args) -> Event:
-        """Schedule ``callback(*args)`` to run ``delay`` cycles from now."""
+                 *args) -> list:
+        """Schedule ``callback(*args)`` to run ``delay`` cycles from now.
+
+        Returns the event's ``[time, seq, callback, args]`` entry, the
+        handle :meth:`cancel` takes.
+        """
         if type(delay) is not int and (isinstance(delay, bool)
                                        or not isinstance(delay, int)):
             raise SimulationError(
@@ -64,14 +66,12 @@ class Engine:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         seq = self._seq + 1
         self._seq = seq
-        event = Event((self.now + delay, seq, callback, args))
-        event._owner = self
-        heapq.heappush(self._queue, event)
-        self._live += 1
-        return event
+        entry = [self.now + delay, seq, callback, args]
+        heapq.heappush(self._queue, entry)
+        return entry
 
     def schedule_at(self, time: int, callback: Callable[..., None],
-                    *args) -> Event:
+                    *args) -> list:
         """Schedule ``callback(*args)`` at absolute cycle ``time``.
 
         Times in the past are rejected *here*, at the offending call
@@ -88,11 +88,21 @@ class Engine:
                 f"cannot schedule at {time}, current time is {self.now}")
         seq = self._seq + 1
         self._seq = seq
-        event = Event((time, seq, callback, args))
-        event._owner = self
-        heapq.heappush(self._queue, event)
-        self._live += 1
-        return event
+        entry = [time, seq, callback, args]
+        heapq.heappush(self._queue, entry)
+        return entry
+
+    def cancel(self, entry: list) -> None:
+        """Stop a scheduled event from firing.
+
+        A no-op for an event that already fired or was already
+        cancelled.  The identity scan is linear in the heap, which
+        holds a handful of events, and cancels happen only at a crash.
+        """
+        if entry[2] is not None and any(queued is entry
+                                        for queued in self._queue):
+            entry[2] = None
+            self._cancelled += 1
 
     # --- execution -------------------------------------------------------
 
@@ -109,65 +119,38 @@ class Engine:
         :meth:`schedule_at` admit events into the rewound window and
         fire them out of order).
         """
+        horizon = math.inf if until is None else until
+        limit = math.inf if max_events is None else max_events
         fired = 0
         queue = self._queue
         pop = heapq.heappop
         now = self.now
         while queue:
-            event = queue[0]
-            time = event[0]
-            if until is not None and time > until:
-                if until > now:
-                    self.now = until
+            if queue[0][0] > horizon:
                 break
-            pop(queue)
-            callback = event[2]
+            time, _seq, callback, args = pop(queue)
             if callback is None:
-                self._cancelled_in_heap -= 1
+                self._cancelled -= 1
                 continue
             if time < now:
                 raise SimulationError("event heap produced a past event")
             self.now = now = time
-            self._live -= 1
-            event._owner = None      # fired: a later cancel() is a no-op
-            callback(*event[3])
-            now = self.now
+            callback(*args)
             fired += 1
-            if max_events is not None and fired >= max_events:
-                break
-        else:
-            if until is not None and until > now:
-                self.now = until
+            if fired >= limit:
+                self._events_fired += fired
+                return fired
+        if until is not None and until > self.now:
+            self.now = until
         self._events_fired += fired
         return fired
 
     def run_until_idle(self, max_events: int = 100_000_000) -> int:
         """Run until no events remain (bounded by ``max_events``)."""
         fired = self.run(max_events=max_events)
-        if self._queue and fired >= max_events:
+        if self.pending_events:
             raise SimulationError("simulation exceeded max_events; likely livelock")
         return fired
-
-    # --- cancellation bookkeeping ------------------------------------------
-
-    def _note_cancel(self) -> None:
-        """Called by :meth:`Event.cancel` for events this engine owns."""
-        self._live -= 1
-        self._cancelled_in_heap += 1
-        if (self._cancelled_in_heap > _COMPACT_MIN_CANCELLED
-                and self._cancelled_in_heap > self._live):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop lazily-cancelled events and re-heapify the survivors.
-
-        Heap order is a function of each event's immutable ``(time,
-        seq)`` key, so filtering + heapify preserves firing order
-        exactly.
-        """
-        self._queue = [event for event in self._queue if event[2] is not None]
-        heapq.heapify(self._queue)
-        self._cancelled_in_heap = 0
 
     # --- introspection -----------------------------------------------------
 
@@ -180,18 +163,18 @@ class Engine:
         queue = self._queue
         while queue and queue[0][2] is None:
             heapq.heappop(queue)
-            self._cancelled_in_heap -= 1
+            self._cancelled -= 1
         return queue[0][0] if queue else None
 
     @property
     def pending_events(self) -> int:
         """Number of live (non-cancelled) events still queued, O(1).
 
-        Cancelled events stay in the heap until popped or compacted,
-        but they will never fire; counting them would make backpressure
-        heuristics see dead weight.
+        Cancelled entries stay in the heap until popped, but they will
+        never fire; counting them would make backpressure heuristics
+        see dead weight.
         """
-        return self._live
+        return len(self._queue) - self._cancelled
 
     @property
     def events_fired(self) -> int:

@@ -128,6 +128,53 @@ def test_crash_erases_dram_not_nvm(setup):
     assert controller.functional_store(DeviceKind.NVM).read(0) == b"p" * 64
 
 
+def test_crash_cancels_every_in_flight_completion(setup):
+    """Power loss with three accesses in service: a single NVM write,
+    one block of an NVM bulk run and a DRAM read.  Their completion
+    events are cancelled, so none of them fires, stores or counts;
+    an unrelated event still fires."""
+    engine, controller, stats, cfg = setup
+    size = cfg.block_bytes
+    old, new = b"o" * size, b"n" * size
+    controller.submit(DeviceKind.NVM, _write(0, old))
+    engine.run_until_idle()
+    payloads = [bytes([index + 1]) * size for index in range(4)]
+    completed = []
+
+    def on_block(_run, index, _payload):
+        completed.append(index)
+
+    run = MemoryRequest.bulk(cfg.row_bytes, True, Origin.CHECKPOINT, 4,
+                             size, callback=on_block, carries_data=True)
+    for payload in payloads:
+        assert controller.bulk_admit_next(DeviceKind.NVM, run, payload)
+    while not completed:
+        engine.run(max_events=1)
+    # Block 0 is durable and block 1 is now in service on bank 1.
+    calls = []
+    assert controller.submit(DeviceKind.NVM,
+                             _write(0, new, lambda _r: calls.append("w")))
+    assert controller.submit(DeviceKind.DRAM,
+                             _read(0, lambda _r: calls.append("r")))
+    engine.schedule(10_000, calls.append, "unrelated")
+    in_flight = sum(len(state.active)
+                    for state in controller._states.values())
+    assert in_flight == 3
+    pending, fired = engine.pending_events, engine.events_fired
+    nvm_writes = stats.nvm_writes.total()
+    controller.crash()
+    assert engine.pending_events == pending - in_flight
+    engine.run_until_idle()
+    assert calls == ["unrelated"]
+    assert completed == [0]
+    assert engine.events_fired == fired + 1
+    assert stats.nvm_writes.total() == nvm_writes
+    store = controller.functional_store(DeviceKind.NVM)
+    assert store.read(0) == old
+    assert [store.read(run.block_addr(index)) for index in range(4)] == (
+        [payloads[0]] + [bytes(size)] * 3)
+
+
 def test_submit_after_crash_rejected(setup):
     _engine, controller, _stats, _cfg = setup
     controller.crash()

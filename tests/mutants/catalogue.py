@@ -329,4 +329,18 @@ MUTANTS = (
         "        return stages\n",
         "thynvm/sparse:s1:e2:b12@ckpt-start#1+0",
         ()),
+    Mutant(
+        "crash-keeps-inflight", "mem/controller.py",
+        "            for entry, request in state.active.values():\n"
+        "                self.engine.cancel(entry)\n"
+        "                if request.total > 1:\n"
+        "                    request.fences.clear()\n"
+        "            state.active.clear()\n",
+        "            for entry, request in state.active.values():\n"
+        "                if request.total > 1:\n"
+        "                    request.fences.clear()\n",
+        "a write in service at power loss still completes after the "
+        "crash and lands in NVM (test_controller.py::"
+        "test_crash_cancels_every_in_flight_completion)",
+        ()),
 )

@@ -69,6 +69,7 @@ GOLDEN_STEP = (
     "tests/property/test_core_access_reference.py",
     "tests/property/test_no_reference_cycles.py",
     "tests/property/test_declared_plan.py",
+    "tests/property/test_engine_props.py",
 )
 RUNTIME = ("tier-1", "fuzz", "crashproc")
 COLUMNS = RUNTIME + ("lint", "verify", "hashseed", "bench")

@@ -58,7 +58,7 @@ def test_cancelled_events_do_not_fire():
     fired = []
     event = engine.schedule(10, lambda: fired.append("cancelled"))
     engine.schedule(5, lambda: fired.append("kept"))
-    event.cancel()
+    engine.cancel(event)
     engine.run_until_idle()
     assert fired == ["kept"]
 
@@ -94,6 +94,20 @@ def test_max_events_cap():
         engine.run_until_idle(max_events=100)
 
 
+def test_run_until_idle_ignores_cancelled_leftovers():
+    # Stopping at exactly max_events with only cancelled entries left
+    # queued is not a livelock: nothing live remains to fire.
+    engine = Engine()
+    fired = []
+    for tag in range(3):
+        engine.schedule(1, fired.append, tag)
+    engine.cancel(engine.schedule(100, fired.append, "cancelled"))
+    assert engine.run_until_idle(max_events=3) == 3
+    assert fired == [0, 1, 2]
+    assert engine.pending_events == 0
+    assert engine.events_fired == 3
+
+
 @pytest.mark.parametrize("delay", [1.0, 2.5, True])
 def test_schedule_rejects_non_integer_delay(delay):
     engine = Engine()
@@ -113,16 +127,16 @@ def test_pending_events_excludes_cancelled():
     kept = engine.schedule(10, lambda: None)
     doomed = engine.schedule(20, lambda: None)
     assert engine.pending_events == 2
-    doomed.cancel()
+    engine.cancel(doomed)
     assert engine.pending_events == 1
-    kept.cancel()
+    engine.cancel(kept)
     assert engine.pending_events == 0
 
 
 def test_pending_events_exact_under_cancel_heavy_schedule():
-    # Regression for the O(1) live-event counter: cancelling enough
-    # events to trigger heap compaction must keep pending_events exact
-    # and must not disturb firing order of the survivors.
+    # Regression for the O(1) live-event counter: cancelling two of
+    # every three queued events must keep pending_events exact and must
+    # not disturb firing order of the survivors.
     engine = Engine()
     fired = []
     events = [engine.schedule(1000 + i, lambda i=i: fired.append(i))
@@ -130,8 +144,8 @@ def test_pending_events_exact_under_cancel_heavy_schedule():
     live = len(events)
     for i, event in enumerate(events):
         if i % 3 != 0:
-            event.cancel()
-            event.cancel()       # cancel is idempotent
+            engine.cancel(event)
+            engine.cancel(event)     # cancel is idempotent
             live -= 1
         assert engine.pending_events == live
     engine.run_until_idle()
@@ -144,7 +158,7 @@ def test_cancel_after_fire_is_a_noop():
     event = engine.schedule(1, lambda: None)
     engine.run_until_idle()
     assert engine.pending_events == 0
-    event.cancel()
+    engine.cancel(event)
     assert engine.pending_events == 0
 
 
@@ -165,15 +179,15 @@ def test_bounded_run_never_rewinds_the_clock():
 
 
 def test_time_skip_with_cancel_heavy_heap_keeps_invariants():
-    # Cancelling enough events to trigger compaction, then time-skipping
-    # past the dead region, must leave peek_time/now consistent so the
+    # Cancelling a long run of queued events, then time-skipping past
+    # the dead region, must leave peek_time/now consistent so the
     # schedule_at past-time check stays exact.
     engine = Engine()
     doomed = [engine.schedule(100 + i, lambda: None) for i in range(200)]
     fired = []
     engine.schedule(500, lambda: fired.append(engine.now))
     for event in doomed:
-        event.cancel()
+        engine.cancel(event)
     assert engine.peek_time() == 500
     engine.run(until=400)          # pure time-skip: nothing fires
     assert engine.now == 400
