@@ -6,7 +6,6 @@
     repro perf --quick
     repro trace record --workload sliding --ops 2000 -o sliding.trace
     repro trace run --system thynvm sliding.trace
-    repro lint src/ --strict
     repro fuzz --quick --jobs 4
     repro fuzz replay 'thynvm/sparse:s1:e2:b16@fence#1+0'
     repro crashproc 'thynvm/sparse:s1:e3:b16@commit-write#1+0'
@@ -22,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 from typing import Iterator, List, NoReturn, Optional
 
 from .config import SystemConfig
@@ -201,74 +199,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         print(json.dumps(result.stats.summary(), indent=2))
         return 0
     raise SystemExit("trace: choose 'record' or 'run'")
-
-
-def cmd_lint(args: argparse.Namespace) -> int:
-    """`repro lint`: run the protocol-aware static analyzer."""
-    from .analysis import (render_rule_catalogue, render_rule_explain,
-                           run_analysis)
-    from .analysis.report import lint_tool_report, render
-    if args.list_rules:
-        print(render_rule_catalogue())
-        return 0
-    if args.explain:
-        try:
-            print(render_rule_explain(args.explain))
-        except KeyError:
-            print(f"lint: unknown rule id {args.explain!r}; see "
-                  f"`repro lint --list-rules`", file=sys.stderr)
-            return 2
-        return 0
-    paths = args.paths or ["src"]
-    missing = [path for path in paths if not Path(path).exists()]
-    if missing:
-        # A typo'd path must not green-light a CI run.
-        print(f"lint: no such path: {', '.join(missing)}", file=sys.stderr)
-        return 2
-    report = run_analysis(paths)
-    if not report.files_scanned:
-        # Nor may a path that holds nothing to analyze.
-        print(f"lint: no Python files under: {', '.join(paths)}",
-              file=sys.stderr)
-        return 2
-    print(render(lint_tool_report(report), args.format))
-    return report.exit_code(strict=args.strict)
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
-    """`repro verify`: static crash-consistency model checking."""
-    from .analysis.report import render
-    from .analysis.verify import VERIFY_SYSTEMS, VerifyConfig, run_verify
-    from .analysis.verify.checks import (all_checks, render_check_explain)
-    from .analysis.verify.runner import verify_tool_report
-    if args.list_checks:
-        for check in all_checks():
-            print(f"{check.id:26s} [{check.family}/"
-                  f"{check.severity.value}] {check.description}")
-        return 0
-    if args.explain:
-        try:
-            print(render_check_explain(args.explain))
-        except KeyError:
-            print(f"verify: unknown check id {args.explain!r}; see "
-                  f"`repro verify --list-checks`", file=sys.stderr)
-            return 2
-        return 0
-    systems = (tuple(dict.fromkeys(args.system)) if args.system
-               else VERIFY_SYSTEMS)
-    unknown = [s for s in systems if s not in VERIFY_SYSTEMS]
-    if unknown:
-        print(f"verify: unknown system(s): {', '.join(unknown)} "
-              f"(have: {', '.join(VERIFY_SYSTEMS)})", file=sys.stderr)
-        return 2
-    if args.epochs < 1:
-        print(f"verify: --epochs must be at least 1 (got {args.epochs})",
-              file=sys.stderr)
-        return 2
-    config = VerifyConfig(systems=systems, epochs=args.epochs)
-    report = run_verify(config)
-    print(render(verify_tool_report(report), args.format))
-    return report.exit_code(strict=args.strict)
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
@@ -495,49 +425,6 @@ def make_parser() -> argparse.ArgumentParser:
     replay.add_argument("--system", default="thynvm", choices=SYSTEM_NAMES)
     _add_config_args(replay)
     replay.set_defaults(func=cmd_trace)
-
-    lint_parser = sub.add_parser(
-        "lint", help="protocol-aware static analysis (docs/ANALYSIS.md)")
-    lint_parser.add_argument("paths", nargs="*",
-                             help="files/directories to analyze (default src)")
-    lint_parser.add_argument("--format", default="text",
-                             choices=("text", "json", "github"),
-                             help="output format; 'github' emits Actions "
-                                  "::error annotations")
-    lint_parser.add_argument("--strict", action="store_true",
-                             help="warnings also fail the run")
-    lint_parser.add_argument("--list-rules", action="store_true",
-                             help="print the rule catalogue and exit")
-    lint_parser.add_argument("--explain", metavar="RULE_ID", default=None,
-                             help="print one rule's doc, rationale and "
-                                  "examples, then exit")
-    lint_parser.set_defaults(func=cmd_lint)
-
-    verify_parser = sub.add_parser(
-        "verify", help="static crash-consistency model checking "
-                       "(docs/VERIFY.md)")
-    verify_parser.add_argument("--system", action="append", default=None,
-                               metavar="SYSTEM",
-                               help="verify only this system (repeatable; "
-                                    "default: all five)")
-    verify_parser.add_argument("--epochs", type=int, default=3,
-                               help="epoch boundaries each abstract "
-                                    "machine drives (default 3)")
-    verify_parser.add_argument("--format", default="text",
-                               choices=("text", "json", "github"),
-                               help="output format (shared with "
-                                    "repro lint)")
-    verify_parser.add_argument("--strict", action="store_true",
-                               help="extraction warnings also fail the run")
-    verify_parser.add_argument("--list-checks", action="store_true",
-                               help="print the verify check catalogue "
-                                    "and exit")
-    verify_parser.add_argument("--explain", metavar="CHECK_ID",
-                               default=None,
-                               help="print one check's doc, rationale and "
-                                    "examples, then exit (lint rule ids "
-                                    "also accepted)")
-    verify_parser.set_defaults(func=cmd_verify)
 
     fuzz_parser = sub.add_parser(
         "fuzz", help="crash-schedule fuzzing campaign (docs/FUZZING.md)")

@@ -18,8 +18,8 @@ literal of ``(role, Dest)`` pairs beside its planner: the role says what
 a stage writes (``temp``, ``page``, ``log``, ``btt``, ...), the
 :class:`Dest` rule where it lands relative to the committed record.
 The planners walk that literal, :class:`CheckpointRun` reports each
-finished stage's role to its owner, and ``repro verify`` reads the same
-literals from the source (docs/VERIFY.md).
+finished stage's role to its owner, and
+``tests/property/test_declared_plan.py`` audits every write against it.
 """
 
 from __future__ import annotations

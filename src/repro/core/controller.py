@@ -50,7 +50,7 @@ from .regions import REGION_A, REGION_B, other_region
 #: The checkpoint plan, in stage order (Figure 6(b), §4.4): block
 #: working copies buffered in DRAM, the BTT, dirty pages, the PTT.
 #: Both data stages write the complement of their object's committed
-#: region.  ``_plan_checkpoint`` walks it; ``repro verify`` reads it.
+#: region.  ``_plan_checkpoint`` walks it; test_declared_plan.py audits it.
 CHECKPOINT_PLAN = (
     ("temp", Dest.COMPLEMENT),
     ("btt", Dest.BACKUP),

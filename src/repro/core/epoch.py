@@ -40,8 +40,8 @@ INITIAL_PHASE = Phase.EXECUTING
 
 # The epoch pipeline's legal phase changes.  Like ALLOWED_TRANSITIONS
 # in versions.py this is a declared table, not documentation: _set_phase
-# enforces it at runtime and the `proto-phase-graph` lint rule checks
-# reachability and that every phase change in core/ goes through it.
+# enforces it at runtime, and tests/property/test_static_dynamic_graph.py
+# checks that every phase is reachable and none is dead.
 PHASE_TRANSITIONS = {
     Phase.EXECUTING: {Phase.ENDING},          # an epoch end was requested
     Phase.ENDING: {Phase.CHECKPOINTING},      # boundary flush initiated

@@ -6,7 +6,7 @@ pieces, in pipeline order:
 
 * :mod:`~repro.fuzz.sites` — the crash-site taxonomy: which protocol
   events are interesting crash points, derived statically from the
-  analyzer's effect graph and counted dynamically per system×workload.
+  effect classifier and counted dynamically per system×workload.
 * :mod:`~repro.fuzz.plan` — :class:`CrashPlan`, a picklable, string-
   round-trippable description of exactly one crash schedule.
 * :mod:`~repro.fuzz.workloads` — small deterministic write schedules

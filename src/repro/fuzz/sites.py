@@ -1,10 +1,9 @@
-"""The crash-site taxonomy, anchored in the analyzer's effect graph.
+"""The crash-site taxonomy, anchored in the static effect classifier.
 
-Crash sites are not invented ad hoc: the static analyzer already
+Crash sites are not invented ad hoc: :mod:`repro.analysis.effects`
 classifies every persist, fence and commit point in the protocol
-sources (:mod:`repro.analysis.effects`), and the runtime probes in
-:mod:`repro.core.probes` instrument exactly that surface.  This module
-ties the two together:
+sources, and the runtime probes in :mod:`repro.core.probes` instrument
+exactly that surface.  This module ties the two together:
 
 * :func:`effect_surface` — scan the protocol packages and list, per
   effect, the functions that produce it (the static crash surface).
@@ -110,36 +109,13 @@ def taxonomy() -> Dict[str, Dict[str, object]]:
 
 
 def coverage_gaps() -> Dict[str, List[str]]:
-    """Crash-surface sites the fuzzer cannot reach, in both directions.
+    """Persist/fence/commit sites no probe kind covers, keyed by effect.
 
-    Direction 1 — static effects vs the taxonomy: persist/fence/commit
-    sites classified by the analyzer that no probe kind covers, keyed
-    by effect name.  Non-empty means someone added a persist path the
-    fuzzer cannot crash at.
-
-    Direction 2 — abstract machines vs the probe surface: crash-edge
-    kinds the ``repro verify`` abstract machines emit that are not
-    runtime ``SITE_KINDS``, keyed ``"abstract:<system>"``.  Non-empty
-    means the model checker produces counterexamples whose compiled
-    :class:`~repro.fuzz.plan.CrashPlan` the replayer would reject —
-    the two crash surfaces have drifted apart.
+    Non-empty means someone added a persist path the fuzzer cannot
+    crash at.
     """
     covered: Set[str] = set()
     for effects in KIND_EFFECTS.values():
         covered.update(effect.value for effect in effects)
-    surface = effect_surface()
-    gaps = {effect: sites for effect, sites in surface.items()
+    return {effect: sites for effect, sites in effect_surface().items()
             if sites and effect not in covered}
-    # Lazy: repro.analysis.verify consumes nothing from repro.fuzz at
-    # module level, and this keeps plain fuzz runs free of the model
-    # checker (and vice versa — verify resolves CrashPlan lazily too).
-    from ..analysis.verify.runner import abstract_site_kinds
-    from ..analysis.verify.schemes import VERIFY_SYSTEMS
-    from ..core.probes import SITE_KINDS
-
-    for system in VERIFY_SYSTEMS:
-        unknown = sorted(kind for kind in abstract_site_kinds(system)
-                         if kind not in SITE_KINDS)
-        if unknown:
-            gaps[f"abstract:{system}"] = unknown
-    return gaps

@@ -118,6 +118,9 @@ class Engine:
         time the engine already reached (which would let
         :meth:`schedule_at` admit events into the rewound window and
         fire them out of order).
+
+        A callback that raises ends the run; :attr:`events_fired` still
+        counts every event that completed before it.
         """
         horizon = math.inf if until is None else until
         limit = math.inf if max_events is None else max_events
@@ -125,25 +128,26 @@ class Engine:
         queue = self._queue
         pop = heapq.heappop
         now = self.now
-        while queue:
-            if queue[0][0] > horizon:
-                break
-            time, _seq, callback, args = pop(queue)
-            if callback is None:
-                self._cancelled -= 1
-                continue
-            if time < now:
-                raise SimulationError("event heap produced a past event")
-            self.now = now = time
-            callback(*args)
-            fired += 1
-            if fired >= limit:
-                self._events_fired += fired
-                return fired
-        if until is not None and until > self.now:
-            self.now = until
-        self._events_fired += fired
-        return fired
+        try:
+            while queue:
+                if queue[0][0] > horizon:
+                    break
+                time, _seq, callback, args = pop(queue)
+                if callback is None:
+                    self._cancelled -= 1
+                    continue
+                if time < now:
+                    raise SimulationError("event heap produced a past event")
+                self.now = now = time
+                callback(*args)
+                fired += 1
+                if fired >= limit:
+                    return fired
+            if until is not None and until > self.now:
+                self.now = until
+            return fired
+        finally:
+            self._events_fired += fired
 
     def run_until_idle(self, max_events: int = 100_000_000) -> int:
         """Run until no events remain (bounded by ``max_events``)."""

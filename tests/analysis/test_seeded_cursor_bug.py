@@ -1,43 +1,32 @@
-"""One seeded bulk-cursor bug, caught three ways.
+"""The memory controller's bulk-cursor guard trips on a seeded bug.
 
-The seed collapses the queue's service frontier — ``request.serviced
+The seed collapses the queue's service frontier: ``request.serviced
 += 1`` becomes ``request.serviced = request.completed`` in
-``BoundedQueue._service_head_block`` — which silently breaks the fence
-accounting invariant ``covered = queued + (serviced - completed)``.
-The same mutation must be caught by
-
-* the static typestate rule (``typestate-cursor-order``),
-* the model checker (``repro verify``: the bulk in-order fact stops
-  extracting, and the shadow machine's straggler world produces
-  counterexamples), and
-* the runtime (the memory controller's completion-path cursor guard
-  trips under any bulk-run workload the fuzzer drives).
+``BoundedQueue._service_head_block``.  That breaks the fence accounting
+invariant ``covered = queued + (serviced - completed)``, and the
+completion path's cursor check (``completed <= serviced``) must raise
+under any bulk-run workload the fuzzer drives.
 """
 
 import importlib.util
-import shutil
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import LintConfig, run_analysis
-from repro.analysis.verify import (PROTOCOL_FILES, build_exploration,
-                                   extract_facts)
-from repro.analysis.verify.extract import default_root
+import repro
 from repro.errors import SimulationError
+from repro.fuzz.runner import census
+from repro.sim.queueing import BoundedQueue
 
 CLEAN = "request.serviced += 1"
 BUGGY = "request.serviced = request.completed"
 
 
-def mutate(source: str) -> str:
-    assert CLEAN in source, "seed anchor moved; update this test"
-    return source.replace(CLEAN, BUGGY)
-
-
 def seeded_queueing(tmp_path: Path) -> Path:
     """A standalone copy of sim/queueing.py carrying the bug."""
-    source = mutate((default_root() / "sim" / "queueing.py").read_text())
+    source = (Path(repro.__file__).parent / "sim" / "queueing.py").read_text()
+    assert CLEAN in source, "seed anchor moved; update this test"
+    source = source.replace(CLEAN, BUGGY)
     # Absolute imports so the copy loads outside the package.
     source = source.replace("from ..errors import", "from repro.errors import")
     source = source.replace("from .request import",
@@ -47,46 +36,7 @@ def seeded_queueing(tmp_path: Path) -> Path:
     return target
 
 
-def seeded_root(tmp_path: Path) -> Path:
-    """Protocol sources with the cursor bug planted in the queue."""
-    root = tmp_path / "src"
-    for rel in PROTOCOL_FILES:
-        target = root / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copy(default_root() / rel, target)
-    queueing = root / "sim" / "queueing.py"
-    queueing.write_text(mutate(queueing.read_text()))
-    return root
-
-
-def test_typestate_rule_catches_the_seed(tmp_path):
-    target = seeded_queueing(tmp_path)
-    config = LintConfig(typestate_scope=("",),
-                        select=("typestate-cursor-order",))
-    report = run_analysis([target], config)
-    assert len(report.findings) == 1
-    message = report.findings[0].message
-    assert ".serviced" in message and ".completed" in message
-
-
-def test_verifier_catches_the_seed(tmp_path):
-    facts = extract_facts(seeded_root(tmp_path))
-    assert not facts.bulk_inorder
-    assert any("straggler" in w.message for w in facts.warnings)
-    exploration = build_exploration("shadow", facts)
-    straggler = [ce for ce in exploration.counterexamples
-                 if "straggler" in ce.assumption]
-    assert straggler, "straggler world produced no counterexamples"
-    # The straggler block's own torn-crash finding points into the
-    # queue source, at the bad assignment (crashes upstream of it
-    # anchor at the flush stage that issued the run).
-    assert any(ce.anchor[0] == "sim/queueing.py" for ce in straggler)
-
-
 def test_runtime_guard_catches_the_seed(tmp_path, monkeypatch):
-    from repro.fuzz.runner import census
-    from repro.sim.queueing import BoundedQueue
-
     target = seeded_queueing(tmp_path)
     spec = importlib.util.spec_from_file_location("seeded_queueing", target)
     module = importlib.util.module_from_spec(spec)

@@ -3,21 +3,16 @@
 Each :class:`Mutant` replaces one ``anchor`` string, which must occur
 exactly once in ``file`` (relative to ``src/repro/``), with
 ``replacement``.  ``exposed_by`` names the input that shows the defect.
-``None`` marks a patch with no known exposing input: it does not count
-as a defect and cannot justify keeping the rule that flags it.
-``aimed_at``
-lists the lint rules and verify checks whose bug class the patch
-belongs to.
 
 ``tests/mutants/run.py`` applies each patch to a fresh copy of the tree
-and runs every detector on it (docs/ANALYSIS.md, "Catch matrix").
+and runs every CI detector on it (docs/ANALYSIS.md, "Catch matrix").
 ``tests/mutants/test_catalogue.py`` keeps every anchor applicable.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple
 
 
 class Mutant(NamedTuple):
@@ -25,8 +20,7 @@ class Mutant(NamedTuple):
     file: str
     anchor: str
     replacement: str
-    exposed_by: Optional[str]
-    aimed_at: Tuple[str, ...] = ()
+    exposed_by: str
 
 
 def apply(mutant: Mutant, src: Path) -> None:
@@ -41,14 +35,13 @@ def apply(mutant: Mutant, src: Path) -> None:
 
 
 MUTANTS = (
-    # --- api -----------------------------------------------------------
+    # --- exports and port signatures ----------------------------------
     Mutant(
         "all-lists-missing-name", "core/__init__.py",
         '    "validate_transition",\n',
         '    "validate_transitions",\n',
         "`from repro.core import *` raises AttributeError "
-        "(tests/test_exports.py)",
-        ("api-all-exports",)),
+        "(tests/test_exports.py)"),
     Mutant(
         "port-signature-swapped", "baselines/ideal.py",
         "                    data: Optional[bytes] = None,\n"
@@ -57,22 +50,20 @@ MUTANTS = (
         "                    on_accept=None) -> None:\n",
         "a positional write_block(addr, origin, data) on an ideal system "
         "stores nothing and calls its payload "
-        "(test_port_conformance.py::test_write_without_callbacks_is_fine)",
-        ("api-port-surface",)),
-    # --- determinism ---------------------------------------------------
+        "(test_port_conformance.py::test_write_without_callbacks_is_fine)"),
+    # --- determinism --------------------------------------------------
     Mutant(
         "engine-host-deadline", "sim/engine.py",
-        "        pop = heapq.heappop\n"
         "        now = self.now\n"
-        "        while queue:\n",
-        "        pop = heapq.heappop\n"
+        "        try:\n"
+        "            while queue:\n",
         "        now = self.now\n"
         "        from time import perf_counter\n"
         "        deadline = perf_counter() + 600.0\n"
-        "        while queue and perf_counter() < deadline:\n",
+        "        try:\n"
+        "            while queue and perf_counter() < deadline:\n",
         "any run longer than 600 s of host time (a loaded host, a "
-        "profiler) stops early and reports different cycles",
-        ("det-wallclock",)),
+        "profiler) stops early and reports different cycles"),
     Mutant(
         "evict-order-shuffled", "core/controller.py",
         "            candidates = [entry for _block, entry in self.btt\n"
@@ -82,41 +73,27 @@ MUTANTS = (
         "            import random\n"
         "            random.shuffle(candidates)\n",
         "the emergency-eviction cells (`@btt256`) evict different victims "
-        "on every run",
-        ("det-global-random",)),
+        "on every run"),
     Mutant(
         "queue-tail-by-id", "sim/queueing.py",
         'key=attrgetter("age"))',
         "key=id)",
         "a bulk run that outlives the queue's youngest entry re-finds the "
-        "tail by address, not age, and grows out of FIFO order",
-        ("det-id-order",)),
+        "tail by address, not age, and grows out of FIFO order"),
     Mutant(
         "plan-walked-as-set", "core/controller.py",
         "        for role, dest in self.PLAN:\n",
         "        for role, dest in set(self.PLAN):\n",
         "the stage order follows the string hash, so it changes with "
-        "PYTHONHASHSEED",
-        ("det-set-iter",)),
-    Mutant(
-        "temp-stage-set-pop", "core/controller.py",
-        "        for block in sorted(self._temp_by_epoch.pop(epoch, ())):\n",
-        "        temps: Set[int] = self._temp_by_epoch.pop(epoch, set())\n"
-        "        while temps:\n"
-        "            block = temps.pop()\n",
-        # Int hashes ignore PYTHONHASHSEED: the pop order is a fixed
-        # function of the set's contents, so every run agrees.
-        None,
-        ("det-set-pop",)),
-    # --- persist -------------------------------------------------------
+        "PYTHONHASHSEED"),
+    # --- persist ordering ---------------------------------------------
     Mutant(
         "commit-without-fence", "core/checkpoint.py",
         "self.memctrl.fence_writes(DeviceKind.NVM, self._write_commit)",
         "self._write_commit()",
         "NVM writes queued at the fence (the drive of "
         "test_nvm_queue_is_drained_at_every_commit_record): the commit "
-        "record overtakes them",
-        ("persist-unfenced-commit",)),
+        "record overtakes them"),
     Mutant(
         "committed-meta-updated-in-place", "core/controller.py",
         "        self.committed_meta = self._snapshot(epoch)\n"
@@ -130,39 +107,8 @@ MUTANTS = (
         "GC returns a region-A block home, the block is rewritten into "
         "its A slot, and a crash hits before that epoch commits: the "
         "record still maps the block to A "
-        "(test_hazard_windows.py::test_gc_dropped_block_reads_from_home)",
-        ("persist-committed-mutation",)),
-    Mutant(
-        "gc-drop-while-table-persists", "core/controller.py",
-        "            elif role == \"btt\":\n"
-        "                stages.append(self._table_persist_jobs(\n"
-        "                    self.btt, layout.btt_backup_offset,\n"
-        "                    layout.btt_backup_blocks))\n",
-        "            elif role == \"btt\":\n"
-        "                stages.append(self._table_persist_jobs(\n"
-        "                    self.btt, layout.btt_backup_offset,\n"
-        "                    layout.btt_backup_blocks))\n"
-        "                for entry in self._absorbed_to_drop:\n"
-        "                    self.btt.remove(entry.block)\n"
-        "                self._absorbed_to_drop = []\n",
-        # The commit drops the same entries before its snapshot; the
-        # two differ only while a consolidation write waits for queue
-        # admission at the fence, which no run reaches.
-        None,
-        ("persist-reentrant-callback",)),
-    # --- protocol ------------------------------------------------------
-    Mutant(
-        "harness-clears-dirty-pages", "harness/runner.py",
-        "        if remaining[\"n\"] == 0:\n"
-        "            system.memsys.drain(on_drained)\n",
-        "        if remaining[\"n\"] == 0:\n"
-        "            for _page, pe in getattr(system.memsys, \"ptt\", ()):\n"
-        "                pe.dirty_active = set()\n"
-        "            system.memsys.drain(on_drained)\n",
-        # No input found: the golden cells that promote pages are
-        # unchanged.
-        None,
-        ("proto-entry-mutation",)),
+        "(test_hazard_windows.py::test_gc_dropped_block_reads_from_home)"),
+    # --- protocol tables and phases -----------------------------------
     Mutant(
         "harness-drops-idle-entries", "harness/runner.py",
         "        if remaining[\"n\"] == 0:\n"
@@ -173,29 +119,25 @@ MUTANTS = (
         "                btt.remove(block)\n"
         "            system.memsys.drain(on_drained)\n",
         "any thynvm run: the final checkpoint's record loses every idle "
-        "block still remapped to a region",
-        ("proto-table-mutation",)),
+        "block still remapped to a region"),
     Mutant(
         "checkpoint-phase-skipped", "core/epoch.py",
         "        self._set_phase(Phase.CHECKPOINTING)\n",
         "        self.phase = Phase.EXECUTING\n",
-        "the first commit of any run: it finds no checkpoint in flight",
-        ("proto-phase-graph",)),
+        "the first commit of any run: it finds no checkpoint in flight"),
     Mutant(
         "overlap-transition-undeclared", "core/versions.py",
         "        ProtocolState.OVERLAPPED,        # active epoch wrote it "
         "meanwhile\n",
         "",
         "a block rewritten while its NVM copy is checkpointed "
-        "(test_versions_props' random walks)",
-        ("proto-state-graph", "verify-state-graph")),
+        "(test_versions_props' random walks)"),
     Mutant(
         "commit-phase-edge-dropped", "core/epoch.py",
         "    Phase.CHECKPOINTING: {Phase.EXECUTING},   # checkpoint committed\n",
         "    Phase.CHECKPOINTING: set(),\n",
-        "the first commit of any run raises ProtocolError",
-        ("proto-phase-graph", "verify-phase-graph")),
-    # --- race ----------------------------------------------------------
+        "the first commit of any run raises ProtocolError"),
+    # --- same-cycle events --------------------------------------------
     Mutant(
         "persist-wakes-running-core", "cpu/core.py",
         "        self._persist_waiting = False\n"
@@ -206,17 +148,15 @@ MUTANTS = (
         "        self._parked = False\n"
         "        self.engine.schedule(0, self._step)\n",
         "a persist barrier that completes while a checkpoint stall has "
-        "already resumed the core: two instruction streams run",
-        ("race-same-cycle",)),
-    # --- typestate -----------------------------------------------------
+        "already resumed the core: two instruction streams run"),
+    # --- crash gates and bulk-run cursors -----------------------------
     Mutant(
         "read-after-crash-ungated", "core/lifecycle.py",
         "        if self._crashed:\n"
         "            raise CrashedError(\"read_block on a crashed controller\")\n",
         "",
         "read_block after crash(): it queues a read instead of raising "
-        "CrashedError",
-        ("typestate-crashed-use",)),
+        "CrashedError"),
     Mutant(
         "thynvm-write-after-crash-ungated", "core/controller.py",
         "        if self._crashed:\n"
@@ -226,8 +166,7 @@ MUTANTS = (
         "        block = self.addresses.block_index(addr)\n"
         "        page = self.addresses.page_of_block(block)\n",
         "write_block after crash(): it updates the tables of a dead "
-        "controller instead of raising CrashedError",
-        ("typestate-crashed-use",)),
+        "controller instead of raising CrashedError"),
     Mutant(
         "write-completion-cursor-reset", "mem/controller.py",
         "            state.record_write_latency(latency)\n"
@@ -235,14 +174,12 @@ MUTANTS = (
         "            state.record_write_latency(latency)\n"
         "            request.completed = 1\n",
         "any bulk write run of three or more blocks: its fence count "
-        "never reaches zero",
-        ("typestate-cursor-monotonic",)),
+        "never reaches zero"),
     Mutant(
         "seed-cursor-aliasing", "sim/queueing.py",
         "request.serviced += 1",
         "request.serviced = request.completed",
-        "any bulk run the fuzzer drives (the completion-path guard)",
-        ("typestate-cursor-order",)),
+        "any bulk run the fuzzer drives (the completion-path guard)"),
     Mutant(
         "grow-refusal-discarded", "mem/controller.py",
         "        if queue.grow_bulk(request):\n"
@@ -256,28 +193,24 @@ MUTANTS = (
         "        self._kick_admit(state, request.bank)\n"
         "        return True\n",
         "a checkpoint copy whose run is not the queue tail: the block is "
-        "never written and the stage never finishes",
-        ("typestate-grow-tail-only",)),
+        "never written and the stage never finishes"),
     Mutant(
         "block-data-appended", "mem/controller.py",
         "request.block_data[request.issued] = data",
         "request.block_data.append(data)",
         "any data-carrying bulk copy: every block stores the preallocated "
-        "None",
-        ("typestate-parallel-arrays",)),
-    # --- verify --------------------------------------------------------
+        "None"),
+    # --- checkpoint plans ---------------------------------------------
     Mutant(
         "seed-fixed-promotion-region", "core/controller.py",
         "stable = self._promotion_region(page)",
         "stable = REGION_B",
-        "thynvm/hotpage:s1:e2:b16@stage-done.2#2+0",
-        ("verify-committed-overwrite",)),
+        "thynvm/hotpage:s1:e2:b16@stage-done.2#2+0"),
     Mutant(
         "seed-page-stage-at-committed", "core/controller.py",
         '    ("page", Dest.COMPLEMENT),\n',
         '    ("page", Dest.COMMITTED),\n',
-        "thynvm/hotpage:s1:e2:b16@stage-done.2#2+0",
-        ("verify-committed-overwrite",)),
+        "thynvm/hotpage:s1:e2:b16@stage-done.2#2+0"),
     Mutant(
         "journal-home-before-log", "baselines/journaling.py",
         '    ("log", Dest.LOG),\n'
@@ -285,21 +218,8 @@ MUTANTS = (
         '    ("home", Dest.HOME),\n'
         '    ("log", Dest.LOG),\n',
         "a journal crash inside the in-place home stage, before the log "
-        "is durable",
-        ("verify-torn-recovery",)),
-    Mutant(
-        "plan-not-a-literal", "baselines/shadow.py",
-        '    ("cpu", Dest.BACKUP),\n'
-        '    ("page", Dest.COMPLEMENT),\n'
-        ')\n',
-        '    ("cpu", Dest.BACKUP),\n'
-        '    ("page", Dest.COMPLEMENT),\n'
-        ')[:]\n',
-        # The same tuple at runtime; only a reader of the literal sees
-        # a difference.
-        None,
-        ("verify-model-extraction",)),
-    # --- the remaining seeded bugs -------------------------------------
+        "is durable"),
+    # --- recovery records and crash -----------------------------------
     Mutant(
         "seed-wrong-region-snapshot", "core/controller.py",
         "        return MetaSnapshot(epoch=epoch, block_regions=blocks,\n",
@@ -308,8 +228,7 @@ MUTANTS = (
         "            blocks[victim] = other_region(blocks[victim])\n"
         "        return MetaSnapshot(epoch=epoch, block_regions=blocks,\n",
         "any thynvm crash after a commit: recovery reads the stale copy "
-        "of the highest remapped block",
-        ()),
+        "of the highest remapped block"),
     Mutant(
         "seed-early-recovery-record", "core/controller.py",
         "        self.stats.ptt_peak_entries = self.ptt.peak_occupancy\n"
@@ -327,8 +246,7 @@ MUTANTS = (
         "        write_record(self.memctrl.functional_store(DeviceKind.NVM),"
         " meta)\n"
         "        return stages\n",
-        "thynvm/sparse:s1:e2:b12@ckpt-start#1+0",
-        ()),
+        "thynvm/sparse:s1:e2:b12@ckpt-start#1+0"),
     Mutant(
         "crash-keeps-inflight", "mem/controller.py",
         "            for entry, request in state.active.values():\n"
@@ -341,6 +259,5 @@ MUTANTS = (
         "                    request.fences.clear()\n",
         "a write in service at power loss still completes after the "
         "crash and lands in NVM (test_controller.py::"
-        "test_crash_cancels_every_in_flight_completion)",
-        ()),
+        "test_crash_cancels_every_in_flight_completion)"),
 )

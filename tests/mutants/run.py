@@ -12,13 +12,10 @@ mutant matters: a failing fuzz run archives reproducers into
 
 Detectors:
 
-* ``tier-1`` — ``pytest -x`` without the tests that run analyzer code
-  (their catches belong to the lint and verify columns);
+* ``tier-1`` — ``pytest -x`` without ``tests/mutants/`` (the anchor
+  test fails on every mutant by construction);
 * ``fuzz`` — ``repro fuzz --quick --jobs 0`` (CI's fuzz-smoke);
 * ``crashproc`` — ``repro crashproc --sweep --quick``;
-* ``lint`` — ``repro lint src/ --strict``, with the rule ids that fired;
-* ``verify`` — ``repro verify --strict``, with the checks that fired
-  (skipped once the tree has no ``repro verify``);
 * ``hashseed`` — the golden step under ``PYTHONHASHSEED=1`` (no CI job
   runs this), only for mutants tier-1 passes;
 * ``bench`` — ``repro bench --jobs 2``, only for defects no other
@@ -48,20 +45,6 @@ sys.path.insert(0, str(ROOT))
 
 from tests.mutants.catalogue import MUTANTS, Mutant, apply  # noqa: E402
 
-# Tests that run analyzer code, left out of the tier-1 column: their
-# catches belong to the lint and verify columns.  The mutant anchors'
-# own test fails on every mutant by construction.
-ANALYZER_TESTS = (
-    "tests/analysis",
-    "tests/mutants",
-    "tests/property/test_static_dynamic_graph.py",
-    "tests/property/test_abstract_machine_runtime.py",
-    "tests/fuzz/test_sites.py",
-    "tests/property/test_effect_graph_runtime.py::"
-    "test_runtime_write_effects_are_statically_predicted",
-    "tests/property/test_effect_graph_runtime.py::"
-    "test_static_graph_classifies_the_controller_pipeline",
-)
 GOLDEN_STEP = (
     "tests/integration/test_golden_determinism.py",
     "tests/integration/test_golden_store_modes.py",
@@ -72,7 +55,7 @@ GOLDEN_STEP = (
     "tests/property/test_engine_props.py",
 )
 RUNTIME = ("tier-1", "fuzz", "crashproc")
-COLUMNS = RUNTIME + ("lint", "verify", "hashseed", "bench")
+COLUMNS = RUNTIME + ("hashseed", "bench")
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", "*.pyc",
                                  ".pytest_cache", ".hypothesis",
                                  "*.egg-info", ".perfbench")
@@ -124,11 +107,10 @@ def _first_failure(output: str) -> str:
 
 
 def tier1(tree: Path) -> Cell:
-    ignores = [f"--deselect={path}" if "::" in path else f"--ignore={path}"
-               for path in ANALYZER_TESTS]
+    # The anchor test fails on every mutant by construction.
     proc, seconds = _timed(tree, [sys.executable, "-m", "pytest", "-x",
                                   "-q", "-p", "no:cacheprovider", "tests",
-                                  *ignores], timeout=420)
+                                  "--ignore=tests/mutants"], timeout=420)
     failed = proc.returncode != 0
     detail = _first_failure(proc.stdout) if failed else ""
     if proc.returncode == -9:
@@ -172,29 +154,6 @@ def crashproc(tree: Path) -> Cell:
                 proc.returncode)
 
 
-def _analyzer(tree: Path, argv: Sequence[str]) -> Cell:
-    proc, seconds = _timed(tree, [sys.executable, "-m", "repro.cli", *argv,
-                                  "--strict", "--format", "json"],
-                           timeout=300)
-    try:
-        findings = json.loads(proc.stdout)["findings"]
-        ids = sorted({finding["rule"] for finding in findings})
-        detail = ", ".join(f"`{rule}`" for rule in ids)
-    except (ValueError, KeyError, TypeError):
-        detail = f"exit {proc.returncode}"
-    return Cell(proc.returncode != 0, seconds, detail, proc.returncode)
-
-
-def lint(tree: Path) -> Cell:
-    return _analyzer(tree, ["lint", "src/"])
-
-
-def verify(tree: Path) -> Optional[Cell]:
-    if not (tree / "src" / "repro" / "analysis" / "verify").is_dir():
-        return None
-    return _analyzer(tree, ["verify"])
-
-
 def failed_claims(tree: Path):
     proc, seconds = _timed(tree, [sys.executable, "-m", "repro.cli", "bench",
                                   "--jobs", "2"], timeout=1200)
@@ -211,12 +170,8 @@ def fresh_tree(workdir: Path, mutant: Optional[Mutant]) -> Path:
 
 
 def detect(tree: Path) -> Dict[str, Cell]:
-    cells = {"tier-1": tier1(tree), "fuzz": fuzz(tree),
-             "crashproc": crashproc(tree), "lint": lint(tree)}
-    verdict = verify(tree)
-    if verdict is not None:
-        cells["verify"] = verdict
-    return cells
+    return {"tier-1": tier1(tree), "fuzz": fuzz(tree),
+            "crashproc": crashproc(tree)}
 
 
 def matrix(mutants: Sequence[Mutant], workdir: Path) -> str:
@@ -230,8 +185,7 @@ def matrix(mutants: Sequence[Mutant], workdir: Path) -> str:
         cells = detect(tree)
         if not cells["tier-1"].caught:
             cells["hashseed"] = hashseed(tree)
-        if mutant.exposed_by and not any(cell.caught
-                                         for cell in cells.values()):
+        if not any(cell.caught for cell in cells.values()):
             if clean_bench is None:
                 clean_tree = fresh_tree(workdir, None)
                 clean_bench = failed_claims(clean_tree)
@@ -258,19 +212,14 @@ def render(mutants: Sequence[Mutant], rows: Sequence[Dict[str, Cell]],
                  clean[column].render() if column in clean else "—"
                  for column in columns) + " |",
              "",
-             "| mutant | aimed at | defect | " + " | ".join(columns) + " |",
-             "|---|---|---|" + "---|" * len(columns)]
+             "| mutant | " + " | ".join(columns) + " |",
+             "|---|" + "---|" * len(columns)]
     for mutant, cells in zip(mutants, rows):
-        aimed = ", ".join(f"`{rule}`" for rule in mutant.aimed_at) or "seed"
-        defect = "yes" if mutant.exposed_by else "**no**"
-        lines.append(f"| `{mutant.name}` | {aimed} | {defect} | " + " | ".join(
+        lines.append(f"| `{mutant.name}` | " + " | ".join(
             cells[column].render() if column in cells else "—"
             for column in columns) + " |")
     uncaught = [mutant.name for mutant, cells in zip(mutants, rows)
-                if mutant.exposed_by
-                and not any(cells[column].caught for column in RUNTIME)
-                and not any(cell.caught for key, cell in cells.items()
-                            if key in ("lint", "verify"))]
+                if not any(cells[column].caught for column in RUNTIME)]
     lines += ["", "Defects no CI detector catches: "
               + (", ".join(f"`{name}`" for name in uncaught) or "none")
               + "."]

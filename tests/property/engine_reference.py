@@ -7,7 +7,8 @@ derives ``pending_events`` from the heap length.  :class:`ListEngine`
 keeps the same entries in a list sorted by ``(time, seq)``, removes a
 cancelled entry at once and counts what is left, so a test can drive
 both with one program and compare what fires, when, and what is
-counted.
+counted.  A callback that raises ends a run in both, and the events
+that completed before it still count as fired.
 """
 
 from __future__ import annotations
@@ -58,20 +59,21 @@ class ListEngine:
     def run(self, until: Optional[int] = None,
             max_events: Optional[int] = None) -> int:
         fired = 0
-        while self.events:
-            if until is not None and self.events[0][0] > until:
-                break
-            time, _seq, callback, args = self.events.pop(0)
-            self.now = time
-            callback(*args)
-            fired += 1
-            if max_events is not None and fired >= max_events:
-                self.events_fired += fired
-                return fired
-        if until is not None and until > self.now:
-            self.now = until
-        self.events_fired += fired
-        return fired
+        try:
+            while self.events:
+                if until is not None and self.events[0][0] > until:
+                    break
+                time, _seq, callback, args = self.events.pop(0)
+                self.now = time
+                callback(*args)
+                fired += 1
+                if max_events is not None and fired >= max_events:
+                    return fired
+            if until is not None and until > self.now:
+                self.now = until
+            return fired
+        finally:
+            self.events_fired += fired
 
     def run_until_idle(self, max_events: int = 100_000_000) -> int:
         fired = self.run(max_events=max_events)

@@ -1,18 +1,15 @@
-"""The live controller stays inside the model checker's state space.
+"""The live controller stays inside the declared protocol machine.
 
-`repro verify` explores abstract machines whose phase and per-block
-protocol-state edges are checked against the static transition tables.
-This test closes the loop from the runtime side: drive a real ThyNVM
-controller through writes, epoch boundaries and a page promotion, and
-assert every *observed* phase edge and per-block protocol-state edge
-was explored by the abstract machine — the model is an
-over-approximation of what the hardware actually does, so a clean
-verify verdict covers the executions the simulator exhibits.
+``PHASE_TRANSITIONS`` (the epoch pipeline) and ``ALLOWED_TRANSITIONS``
+(each block's protocol state) are the protocol's abstract machine.
+This test drives a real ThyNVM controller through writes and epoch
+boundaries, with each boundary forced while the previous checkpoint
+may still be in flight, and asserts every *observed* phase edge and
+per-block protocol-state edge is an edge of that machine.
 """
 
-from repro.analysis.verify import build_exploration, extract_facts
-from repro.core.epoch import Phase
-from repro.core.versions import classify_block_state
+from repro.core.epoch import PHASE_TRANSITIONS, Phase
+from repro.core.versions import ALLOWED_TRANSITIONS, classify_block_state
 
 from ..conftest import make_direct, pad, run_until, settle, write_block
 
@@ -20,12 +17,10 @@ BLOCKS = 8
 
 
 def _machine_edges():
-    facts = extract_facts()
-    exploration = build_exploration("thynvm", facts)
-    state_edges = set()
-    for edges in exploration.state_edges.values():
-        state_edges.update(edges)
-    return exploration.phase_edges, state_edges
+    def edges(table):
+        return {(old.name, new.name) for old, dests in table.items()
+                for new in dests}
+    return edges(PHASE_TRANSITIONS), edges(ALLOWED_TRANSITIONS)
 
 
 def _observed_run():
@@ -80,8 +75,8 @@ def test_runtime_edges_subset_of_abstract_exploration():
 
     assert observed_phase, "run observed no phase transitions"
     assert observed_phase <= machine_phase, \
-        f"unexplored phase edges: {sorted(observed_phase - machine_phase)}"
+        f"undeclared phase edges: {sorted(observed_phase - machine_phase)}"
 
     assert observed_state, "run observed no protocol-state transitions"
     assert observed_state <= machine_state, \
-        f"unexplored state edges: {sorted(observed_state - machine_state)}"
+        f"undeclared state edges: {sorted(observed_state - machine_state)}"

@@ -1,10 +1,10 @@
 """Runtime bulk-run writes vs. the static ``BULK_WRITE`` surface.
 
-Two pins between the batched array-core and the analysis stack:
+Two pins between the batched array-core and the crash surface:
 
 1. **Prediction**: the ``bulk-write`` probe (one notification per
    durable block of a checkpoint bulk run) only ever fires from code
-   the static effect graph classifies with ``Effect.BULK_WRITE`` —
+   the static effect classifier marks ``Effect.BULK_WRITE`` —
    the fuzz taxonomy anchors the kind to those sites.
 2. **Core equivalence**: the per-block oracle
    (:class:`~.per_block_shadow.PerBlockShadow`) changes *nothing*

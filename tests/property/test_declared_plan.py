@@ -1,12 +1,11 @@
 """Every checkpoint write lands where its declared stage says it should.
 
 Each system declares its checkpoint plan once, as the ``CHECKPOINT_PLAN``
-literal its planner walks and ``repro verify`` reads; the verifier
-models the declaration, not the planner's code.  This check keeps the
-two equal at runtime at no cost to the simulator: whenever a checkpoint
-run issues a job, every block the job writes must land where its
-stage's ``Dest`` rule, applied to the durable recovery record at that
-moment, says — and never on a copy that record references.  For every
+literal its planner walks.  This check keeps the planner equal to its
+declaration at runtime at no cost to the simulator: whenever a
+checkpoint run issues a job, every block the job writes must land where
+its stage's ``Dest`` rule, applied to the durable recovery record at
+that moment, says — and never on a copy that record references.  For every
 stage but the journal's ``home`` stage that record is the one durable
 when the checkpoint was planned; the home stage starts after its
 ``log`` stage made the redo log the record.
@@ -22,13 +21,14 @@ from typing import List, Optional
 
 import pytest
 
-from repro.analysis.verify import VERIFY_SYSTEMS, VERIFY_WORKLOADS
 from repro.baselines import journaling, shadow
 from repro.core import controller
 from repro.core.checkpoint import CheckpointRun, Dest, Job
 from repro.core.recovery import MetaSnapshot, block_address, read_record
 from repro.core.regions import REGION_A, REGION_B
+from repro.fuzz.plan import FUZZ_SYSTEMS
 from repro.fuzz.runner import census
+from repro.fuzz.workloads import WORKLOAD_NAMES
 from repro.mem.controller import DeviceKind
 
 from ..conftest import end_epoch, make_direct, settle, write_block
@@ -143,8 +143,8 @@ def test_controllers_walk_their_module_literal():
 
 def test_every_checkpoint_write_lands_where_declared(monkeypatch):
     audit = PlanAudit().install(monkeypatch)
-    for system in VERIFY_SYSTEMS:
-        for workload in VERIFY_WORKLOADS:
+    for system in FUZZ_SYSTEMS:
+        for workload in WORKLOAD_NAMES:
             census(system, workload, seed=1, epochs=3, blocks=16)
     fuzz_roles = set(audit.checked)
     drive_in_flight_writes(audit)

@@ -1,14 +1,13 @@
-"""Static effect graph vs. live simulation.
+"""Static effect classification vs. live simulation.
 
 Two pins between ``repro.analysis.effects`` and the running system:
 
 1. **Superset**: every write effect *observed* at runtime (who called
    ``_issue_write`` / ``_issue_fire_and_forget`` / ``_table_persist_jobs``,
-   and against which device) must be *predicted* by the static effect
-   graph for that caller.  The graph's classification feeds
-   ``race-same-cycle`` and the fuzzer's crash sites
-   (``repro.fuzz.sites``); a runtime effect with no static counterpart
-   would leave both working on a fiction.
+   and against which device) must be *predicted* by the static
+   classification of that caller.  The classification is the fuzzer's
+   static crash surface (``repro.fuzz.sites``); a runtime effect with
+   no static counterpart would leave it working on a fiction.
 2. **Data before metadata** (paper §4.4): every NVM write outstanding
    when the pre-commit fence is issued is serviced before the commit
    record goes out.  This half is a runtime check only.
@@ -41,9 +40,8 @@ def _static_effects_by_name():
     graph = EffectGraph.build(modules)
     by_name = {}
     for info in graph.functions.values():
-        effects = {event.effect for event in info.events
-                   if event.effect is not None}
-        by_name.setdefault(info.name, set()).update(effects)
+        by_name.setdefault(info.name, set()).update(
+            event.effect for event in info.events)
     return by_name
 
 

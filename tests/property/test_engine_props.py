@@ -26,6 +26,10 @@ def test_engine_fires_in_nondecreasing_time_order(delays):
     assert engine.now == max(delays)
 
 
+class CallbackError(Exception):
+    """Raised by an event's ``raise`` follow-up."""
+
+
 class Program:
     """Drives one engine through a program and logs what fires.
 
@@ -33,7 +37,8 @@ class Program:
     that number, modulo how many exist, so it may hit a queued, a
     fired or an already-cancelled event.  Each event logs its number
     and the clock when it fires, then runs its follow-ups: schedule
-    a child event, or cancel one.
+    a child event, cancel one, or raise :class:`CallbackError`, which
+    ends the run that fired it.
     """
 
     def __init__(self, engine) -> None:
@@ -46,8 +51,10 @@ class Program:
         for step in follow:
             if step[0] == "schedule":
                 self.add(self.engine.schedule, step[1], step[2])
-            else:
+            elif step[0] == "cancel":
                 self.cancel(step[1])
+            else:
+                raise CallbackError(tag)
 
     def add(self, schedule, when, follow) -> None:
         self.handles.append(schedule(when, self.fire, len(self.handles),
@@ -76,18 +83,20 @@ class Program:
                 return engine.run(until=until, max_events=op[2])
             else:
                 return engine.run_until_idle(max_events=op[1])
-        except SimulationError as error:
+        except (SimulationError, CallbackError) as error:
             return type(error).__name__
         return None
 
 
 # An event's follow-ups: children are scheduled with valid delays, so
-# every error a program raises comes from a top-level operation.
+# every SimulationError a program raises comes from a top-level
+# operation; a callback raises only CallbackError.
 FOLLOW = st.recursive(
     st.just(()),
     lambda children: st.lists(st.one_of(
         st.tuples(st.just("schedule"), st.integers(0, 8), children),
-        st.tuples(st.just("cancel"), st.integers(0, 63))),
+        st.tuples(st.just("cancel"), st.integers(0, 63)),
+        st.tuples(st.just("raise"))),
         max_size=2).map(tuple),
     max_leaves=6)
 
@@ -115,10 +124,12 @@ def test_engine_matches_sorted_list_reference(program):
         assert heap.engine.now == model.engine.now
         assert heap.engine.pending_events == model.engine.pending_events
         assert heap.engine.events_fired == model.engine.events_fired
-    heap.engine.run()
-    model.engine.run()
+    drain = ("run", None, None)
+    while heap.engine.pending_events:
+        assert heap.step(drain) == model.step(drain)
     assert heap.log == model.log
-    assert heap.engine.pending_events == 0
+    assert heap.engine.events_fired == model.engine.events_fired
+    assert model.engine.pending_events == 0
 
 
 @given(st.lists(st.tuples(st.integers(0, 511), st.booleans()),

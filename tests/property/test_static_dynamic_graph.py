@@ -1,24 +1,20 @@
 """Property tests: declared transition tables == enforced transition
 tables.
 
-The analyzer's graph extractor pulls ``ALLOWED_TRANSITIONS`` and
-``PHASE_TRANSITIONS`` straight out of the source AST; these tests pin
-that static view to the runtime validators: the graphs are identical,
-every state is statically reachable, none are dead, and random walks
-driven through the validators can only ever visit statically-reachable
-states.
+``ALLOWED_TRANSITIONS`` (``core/versions.py``) is the per-block state
+graph and ``PHASE_TRANSITIONS`` (``core/epoch.py``) the epoch pipeline's
+phase graph; ``validate_transition`` and ``validate_phase_transition``
+enforce them at runtime.  Over every (state, destination) pair each
+validator must accept exactly the declared edges plus staying put.
+Every state must be reachable from the initial one, and none may be
+dead: once entered, some other state must be legal again, or the
+protocol would wedge there.  Random walks driven through the
+validators can only ever visit reachable states.
 """
-
-import ast
-from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import (dead_states, extract_enum_members,
-                            extract_transition_table, reachable)
-from repro.core import epoch as epoch_mod
-from repro.core import versions as versions_mod
 from repro.core.epoch import (INITIAL_PHASE, PHASE_TRANSITIONS, Phase,
                               validate_phase_transition)
 from repro.core.versions import (ALLOWED_TRANSITIONS, ProtocolState,
@@ -26,75 +22,70 @@ from repro.core.versions import (ALLOWED_TRANSITIONS, ProtocolState,
 from repro.errors import ProtocolError
 
 
-def _parse(module):
-    return ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+def reachable(table, initial):
+    seen, frontier = {initial}, [initial]
+    while frontier:
+        for new in table.get(frontier.pop(), ()):
+            if new not in seen:
+                seen.add(new)
+                frontier.append(new)
+    return seen
 
 
-_VERSIONS_TREE = _parse(versions_mod)
-_STATIC_STATES = extract_transition_table(
-    _VERSIONS_TREE, "ALLOWED_TRANSITIONS", "ProtocolState")
-_EPOCH_TREE = _parse(epoch_mod)
-_STATIC_PHASES = extract_transition_table(
-    _EPOCH_TREE, "PHASE_TRANSITIONS", "Phase")
+def check_graph(members, table, validate, initial):
+    accepted = set()
+    for old in members:
+        for new in members:
+            try:
+                validate(old, new)
+            except ProtocolError:
+                continue
+            accepted.add((old, new))
+    declared = {(old, new) for old, dests in table.items() for new in dests}
+    assert accepted == declared | {(member, member) for member in members}
+    assert reachable(table, initial) == set(members)
+    assert [member for member in members
+            if not set(table.get(member, ())) - {member}] == []
 
 
-def _runtime_graph(table):
-    return {state.name: frozenset(dest.name for dest in dests)
-            for state, dests in table.items()}
+def walk(table, validate, initial, proposals):
+    """Follow every proposal the validator accepts; each accepted move
+    is a declared edge (or staying put) and lands on a reachable state."""
+    reachable_states = reachable(table, initial)
+    state = initial
+    for proposal in proposals:
+        try:
+            validate(state, proposal)
+        except ProtocolError:
+            assert proposal not in table.get(state, ())
+            continue
+        if proposal is not state:
+            assert proposal in table[state]
+        state = proposal
+        assert state in reachable_states
 
 
 def test_static_state_graph_matches_runtime():
-    assert _STATIC_STATES == _runtime_graph(ALLOWED_TRANSITIONS)
-    members = extract_enum_members(_VERSIONS_TREE, "ProtocolState")
-    assert set(members) == {state.name for state in ProtocolState}
-    assert reachable(_STATIC_STATES, "HOME") == frozenset(members)
-    assert dead_states(_STATIC_STATES, members) == []
+    check_graph(list(ProtocolState), ALLOWED_TRANSITIONS,
+                validate_transition, ProtocolState.HOME)
 
 
 def test_static_phase_graph_matches_runtime():
-    assert _STATIC_PHASES == _runtime_graph(PHASE_TRANSITIONS)
-    members = extract_enum_members(_EPOCH_TREE, "Phase")
-    assert set(members) == {phase.name for phase in Phase}
-    assert reachable(_STATIC_PHASES, INITIAL_PHASE.name) == frozenset(members)
-    assert dead_states(_STATIC_PHASES, members) == []
+    check_graph(list(Phase), PHASE_TRANSITIONS, validate_phase_transition,
+                INITIAL_PHASE)
 
 
 @given(st.lists(st.sampled_from(sorted(ProtocolState, key=lambda s: s.name)),
                 max_size=40))
 @settings(max_examples=200, deadline=None)
 def test_state_walks_stay_statically_reachable(proposals):
-    """Random transition proposals filtered through validate_transition
-    can never leave the statically-reachable-from-HOME set."""
-    reachable_names = reachable(_STATIC_STATES, ProtocolState.HOME.name)
-    state = ProtocolState.HOME
-    for proposal in proposals:
-        try:
-            validate_transition(state, proposal)
-        except ProtocolError:
-            # Rejected transitions must also be statically absent.
-            assert proposal.name not in _STATIC_STATES.get(
-                state.name, frozenset())
-            continue
-        if proposal is not state:
-            assert proposal.name in _STATIC_STATES[state.name]
-        state = proposal
-        assert state.name in reachable_names
+    walk(ALLOWED_TRANSITIONS, validate_transition, ProtocolState.HOME,
+         proposals)
 
 
 @given(st.lists(st.sampled_from(sorted(Phase, key=lambda p: p.name)),
                 max_size=40))
 @settings(max_examples=200, deadline=None)
 def test_phase_walks_stay_statically_reachable(proposals):
-    reachable_names = reachable(_STATIC_PHASES, INITIAL_PHASE.name)
-    phase = INITIAL_PHASE
-    for proposal in proposals:
-        try:
-            validate_phase_transition(phase, proposal)
-        except ProtocolError:
-            assert proposal.name not in _STATIC_PHASES.get(
-                phase.name, frozenset())
-            continue
-        if proposal is not phase:
-            assert proposal.name in _STATIC_PHASES[phase.name]
-        phase = proposal
-        assert phase.name in reachable_names
+    walk(PHASE_TRANSITIONS, validate_phase_transition, INITIAL_PHASE,
+         proposals)

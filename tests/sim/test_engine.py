@@ -204,3 +204,19 @@ def test_events_fired_counter():
         engine.schedule(1, lambda: None)
     engine.run_until_idle()
     assert engine.events_fired == 4
+
+
+def test_events_fired_counts_events_before_a_raising_callback():
+    engine = Engine()
+    engine.schedule(1, lambda: None)
+
+    def fail():
+        raise RuntimeError("callback failed")
+
+    engine.schedule(2, fail)
+    engine.schedule(3, lambda: None)
+    with pytest.raises(RuntimeError):
+        engine.run()
+    assert (engine.events_fired, engine.now) == (1, 2)
+    assert engine.run() == 1
+    assert engine.events_fired == 2
