@@ -207,7 +207,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     ``repro fuzz`` (no subcommand) runs a campaign: replay the corpus,
     census the probe sites, crash everywhere, minimize and archive new
     failures.  ``repro fuzz replay <plan>`` reproduces one plan
-    standalone.  ``repro fuzz sites`` prints the crash-site taxonomy.
+    standalone.  ``repro fuzz sites`` prints the crash-site taxonomy:
+    each probe kind and the protocol event that fires it.
 
     Deterministic JSON goes to stdout; progress/ETA to stderr.  A
     corpus regression or a brand-new failure fails the run (exit 20):
@@ -228,10 +229,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         return 0
 
     if args.fuzz_command == "sites":
-        from .fuzz.sites import coverage_gaps, taxonomy
-        print(json.dumps({"taxonomy": taxonomy(),
-                          "coverage_gaps": coverage_gaps()},
-                         indent=2, sort_keys=True))
+        from .core.probes import SITE_KINDS
+        print(json.dumps(SITE_KINDS, indent=2, sort_keys=True))
         return 0
 
     options = CampaignOptions(
@@ -452,7 +451,8 @@ def make_parser() -> argparse.ArgumentParser:
     fuzz_replay.add_argument("plan", help="plan string, e.g. "
                              "'thynvm/sparse:s1:e2:b16@fence#1+0'")
     fuzz_sub.add_parser(
-        "sites", help="print the crash-site taxonomy and coverage gaps")
+        "sites", help="print the crash-site taxonomy: each probe kind "
+                      "and what fires it")
     fuzz_parser.set_defaults(func=cmd_fuzz, fuzz_command=None)
 
     crashproc_parser = sub.add_parser(

@@ -14,42 +14,36 @@ never per memory *request* — the one per-block kind, ``bulk-write``,
 fires once per durable block of a checkpoint's bulk runs, which is
 still bounded by the dirty footprint of the epoch.
 
-Site kinds (the crash-site taxonomy; see docs/FUZZING.md):
-
-========================  ====================================================
-kind                      fired when
-========================  ====================================================
-``ckpt-start``            a checkpoint run begins issuing its staged jobs
-``stage-done``            one checkpoint stage fully serviced (detail: index)
-``bulk-write``            one block of a checkpoint bulk run becomes durable
-                          (detail: stage index)
-``table-persist``         a translation-table persist stage is planned
-                          (detail: ``btt``/``ptt``/``log``/``pagemap``)
-``fence``                 the pre-commit NVM fence is issued
-``commit-write``          the commit record is submitted to NVM
-``commit``                the commit record serviced and metadata flipped
-``store-sync``            the backing stores are flushed to their medium
-                          (mmap msync at the commit point)
-``aux-commit``            an auxiliary (sub-epoch) checkpoint committed
-``promote``               a page adopted into the DRAM buffer (detail: page)
-``demote``                a page demotion started (detail: page)
-========================  ====================================================
+The site kinds are declared once, in :data:`SITE_KINDS` (the crash-site
+taxonomy; see docs/FUZZING.md); ``repro fuzz sites`` prints it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 Observer = Callable[[str, str], None]
 
 _observer: Optional[Observer] = None
 
-#: Every site kind notify() may legally be called with.
-SITE_KINDS: Tuple[str, ...] = (
-    "ckpt-start", "stage-done", "bulk-write", "table-persist", "fence",
-    "commit-write", "commit", "store-sync", "aux-commit", "promote",
-    "demote",
-)
+#: Every site kind notify() may legally be called with, mapped to the
+#: protocol event that fires it: the crash-site taxonomy.
+SITE_KINDS: Dict[str, str] = {
+    "ckpt-start": "a checkpoint run begins issuing its staged jobs",
+    "stage-done": "one checkpoint stage is fully serviced (detail: index)",
+    "bulk-write": "one block of a checkpoint bulk run becomes durable "
+                  "(detail: stage index)",
+    "table-persist": "a translation-table/log persist stage is planned "
+                     "(detail: btt/ptt/log/pagemap)",
+    "fence": "the pre-commit NVM write-queue fence is issued",
+    "commit-write": "the commit record is submitted to NVM",
+    "commit": "the commit record is serviced and metadata flips",
+    "store-sync": "the backing stores are flushed to their medium "
+                  "(mmap msync at the commit point)",
+    "aux-commit": "an auxiliary (sub-epoch) checkpoint commits",
+    "promote": "a page is adopted into the DRAM buffer (detail: page)",
+    "demote": "a page demotion starts (detail: page)",
+}
 
 
 def set_observer(observer: Optional[Observer]) -> Optional[Observer]:

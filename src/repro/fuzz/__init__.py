@@ -4,9 +4,9 @@ ThyNVM's claim is that recovery is correct at *any* crash point.  The
 property tests sample that space; this package *enumerates* it.  The
 pieces, in pipeline order:
 
-* :mod:`~repro.fuzz.sites` — the crash-site taxonomy: which protocol
-  events are interesting crash points, derived statically from the
-  effect classifier and counted dynamically per system×workload.
+* :data:`repro.core.probes.SITE_KINDS` — the crash-site taxonomy: the
+  protocol events a plan can crash at; :func:`~repro.fuzz.runner.census`
+  counts how often each fires per system×workload.
 * :mod:`~repro.fuzz.plan` — :class:`CrashPlan`, a picklable, string-
   round-trippable description of exactly one crash schedule.
 * :mod:`~repro.fuzz.workloads` — small deterministic write schedules

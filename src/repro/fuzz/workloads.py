@@ -17,8 +17,9 @@ Two shapes:
 Working sets deliberately stay far below every DRAM buffer capacity
 (16 page slots in the small test config): capacity-stalled adoptions
 and aux (sub-epoch) checkpoints *weaken* atomicity by design, which
-would turn every oracle violation into noise.  Aux-checkpoint crash
-sites remain reachable explicitly via the ``aux-commit`` site kind.
+would turn every oracle violation into noise.  So no fuzz schedule
+reaches the ``aux-commit`` site kind: a plan aimed at it reports
+``unreached`` (``tests/fuzz/test_runner.py`` pins that).
 """
 
 from __future__ import annotations

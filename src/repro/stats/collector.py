@@ -77,10 +77,6 @@ class StatsCollector:
         return cycles_to_seconds(self.cycles)
 
     @property
-    def total_stall_cycles(self) -> int:
-        return self.stall_cycles.total()
-
-    @property
     def checkpoint_stall_fraction(self) -> float:
         """Share of execution time stalled on checkpointing (Fig. 8)."""
         if not self.cycles:

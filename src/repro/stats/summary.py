@@ -1,7 +1,7 @@
 """Exact, picklable snapshots of a :class:`StatsCollector`.
 
-The parallel harness runs simulations in worker processes and caches
-results on disk; both paths need a representation of a finished run
+The parallel harness runs simulations in worker processes and sends
+each finished run back to the parent, which needs a representation
 that (a) pickles/JSON-serializes cheaply and (b) restores to a
 ``StatsCollector`` *exactly*, so figure code computed from a restored
 collector is byte-identical to figure code computed from the live one.

@@ -5,6 +5,7 @@ from unittest import mock
 
 from repro.cli import main
 from repro.core.controller import ThyNVMController
+from repro.core.probes import SITE_KINDS
 from repro.errors import EXIT_CODES, CrashedError, FuzzFailure, WorkloadError
 
 from .test_campaign import _buggy_snapshot
@@ -38,11 +39,15 @@ def test_replay_bad_plan_maps_to_workload_error(capsys):
     assert "repro: WorkloadError:" in err
 
 
-def test_sites_subcommand_reports_taxonomy(capsys):
+def test_sites_subcommand_reports_taxonomy(capsys, monkeypatch, tmp_path):
     assert main(["fuzz", "sites"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["coverage_gaps"] == {}
-    assert "fence" in payload["taxonomy"]
+    out = capsys.readouterr().out
+    assert json.loads(out) == SITE_KINDS
+    # The taxonomy is data, not a scan of the sources: same bytes from
+    # any working directory.
+    monkeypatch.chdir(tmp_path)
+    assert main(["fuzz", "sites"]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_campaign_smoke_passes(tmp_path, capsys):

@@ -1,10 +1,24 @@
 """Deterministic injection and the committed-prefix oracle."""
 
+import dataclasses
+
 import pytest
 
+from repro.core.probes import SITE_KINDS
 from repro.errors import CrashedError
+from repro.fuzz.campaign import CampaignOptions
 from repro.fuzz.plan import FUZZ_SYSTEMS, CrashPlan, parse_plan
-from repro.fuzz.runner import census, check_committed_prefix, run_plan
+from repro.fuzz.runner import (census, check_committed_prefix, fuzz_config,
+                               run_plan)
+from repro.fuzz.workloads import WORKLOAD_NAMES
+
+#: Probe kinds no fuzz census reaches, with the reason.  Each must stay
+#: unreached: a kind that starts firing leaves this table.
+UNREACHED_KINDS = {
+    "aux-commit": "fuzz working sets stay below the DRAM buffer on "
+                  "purpose (repro.fuzz.workloads), so no sub-epoch "
+                  "checkpoint runs",
+}
 
 
 def plan_for(system, site, occurrence=1, jitter=0, workload="sparse",
@@ -40,6 +54,44 @@ def test_census_counts_sites_without_crashing():
     assert counts["fence"] == 2
     assert counts["commit"] == 2
     assert counts["table-persist.btt"] >= 1
+
+
+def test_every_site_kind_is_reached():
+    """The runtime crash surface: at the full campaign shape, every
+    catalogued probe kind fires in some system×workload census, except
+    the listed unreached kinds, and no probe fires an uncatalogued kind.
+    A new probe kind that no fuzz schedule reaches fails here."""
+    mode = CampaignOptions().mode
+    fired = set()
+    for system in FUZZ_SYSTEMS:
+        for workload in WORKLOAD_NAMES:
+            counts = census(system, workload, seed=mode.seed,
+                            epochs=mode.epochs, blocks=mode.blocks)
+            fired.update(key.split(".")[0] for key in counts)
+    assert not fired - SITE_KINDS.keys(), "uncatalogued probe kinds fired"
+    assert SITE_KINDS.keys() - fired == UNREACHED_KINDS.keys()
+
+
+def test_crash_surface_is_identical_in_every_store_mode(tmp_path):
+    """The runtime crash surface does not depend on the store backend.
+
+    A backend that skipped (or doubled) a probe site, say an mmap path
+    that serviced commit records without the ``store-sync`` fence, would
+    shift the census.  Pin the per-site occurrence counts byte-identical
+    across functional, mmap and null backends, store-sync included.
+    """
+    configs = {
+        "functional": fuzz_config(),
+        "mmap": dataclasses.replace(fuzz_config(), store_dir=str(tmp_path)),
+        "null": dataclasses.replace(fuzz_config(), track_data=False),
+    }
+    counts = {}
+    for mode, config in configs.items():
+        counts[mode] = census("thynvm", "sparse", seed=1, epochs=3,
+                              blocks=16, config=config)
+        assert any(key.startswith("store-sync") for key in counts[mode]), \
+            f"store mode {mode!r} never fired the store-sync fence"
+    assert counts["functional"] == counts["mmap"] == counts["null"]
 
 
 def test_census_reflects_workload_shape():

@@ -1,25 +1,26 @@
-"""Runtime bulk-run writes vs. the static ``BULK_WRITE`` surface.
+"""Runtime bulk-run writes: the batched array-core's crash surface.
 
 Two pins between the batched array-core and the crash surface:
 
-1. **Prediction**: the ``bulk-write`` probe (one notification per
-   durable block of a checkpoint bulk run) only ever fires from code
-   the static effect classifier marks ``Effect.BULK_WRITE`` —
-   the fuzz taxonomy anchors the kind to those sites.
+1. **Anchor**: the ``bulk-write`` probe (one notification per durable
+   block of a checkpoint bulk run) is fired from
+   :class:`~repro.core.checkpoint.CheckpointRun`, and at runtime only in
+   the data stage.
 2. **Core equivalence**: the per-block oracle
    (:class:`~.per_block_shadow.PerBlockShadow`) changes *nothing*
-   about the probe census except that ``bulk-write`` never fires —
+   about the probe census except that ``bulk-write`` never fires:
    every other site fires the same number of times in both cores.
 """
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 import repro.harness.systems as systems
-from repro.analysis.effects import Effect
-from repro.fuzz.runner import census
-from repro.fuzz.sites import effect_surface
+from repro.core.checkpoint import CheckpointRun
+from repro.fuzz.runner import census, fuzz_config
 
 from .per_block_shadow import PerBlockShadow
 
@@ -44,11 +45,8 @@ def test_bulk_write_probe_is_statically_anchored(census_pair):
     # Shadow's flush runs in the data stage (index 1: the CPU-state
     # stage is prepended), and that is the only stage built as runs.
     assert fired == {"bulk-write.1"}
-    surface = effect_surface()
-    sites = surface[Effect.BULK_WRITE.value]
-    assert sites, "static surface has no BULK_WRITE sites"
     # The probe fires from CheckpointRun's bulk write admissions.
-    assert any("checkpoint.py::CheckpointRun." in site for site in sites)
+    assert 'probes.notify("bulk-write"' in inspect.getsource(CheckpointRun)
 
 
 def test_reference_core_census_differs_only_in_bulk_write(census_pair):
@@ -62,8 +60,6 @@ def test_bulk_write_count_matches_flush_traffic(census_pair):
     bulk, _ = census_pair
     # Every durable flush block notifies exactly once: the census count
     # is a multiple of a full page run and covers both checkpoints.
-    from repro.fuzz.runner import fuzz_config
-    config = fuzz_config()
     count = bulk["bulk-write.1"]
     assert count > 0
-    assert count % config.blocks_per_page == 0
+    assert count % fuzz_config().blocks_per_page == 0

@@ -5,7 +5,7 @@ monitoring each block's derived protocol state; any transition outside
 the state machine of :mod:`repro.core.versions` fails the test.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.epoch import Phase
@@ -23,6 +23,9 @@ BLOCKS = 16
         st.tuples(st.just("run"), st.integers(1, 50_000)),
     ),
     min_size=1, max_size=60))
+# A block rewritten while its NVM copy is checkpointed (NVM_CHECKPOINTING
+# -> OVERLAPPED): random walks reach it only in most runs.
+@example([("write", 0), ("epoch", 0), ("write", 0)])
 @settings(max_examples=60, deadline=None)
 def test_all_transitions_legal(script):
     system = make_direct()
