@@ -23,7 +23,7 @@ from ..core.lifecycle import EpochController
 from ..core.recovery import MetaSnapshot, write_record
 from ..errors import CrashedError
 from ..mem.controller import DeviceKind
-from ..sim.request import MemoryRequest, Origin
+from ..sim.request import Origin
 
 
 class StopTheWorldController(EpochController):
@@ -79,28 +79,6 @@ class StopTheWorldController(EpochController):
     def _write_record(self, meta: MetaSnapshot) -> None:
         """Persist this system's recovery record in the NVM meta slot."""
         write_record(self.memctrl.functional_store(DeviceKind.NVM), meta)
-
-    # --- shared issue helpers ------------------------------------------------------
-
-    def _issue_bulk_read_traffic(self, kind: DeviceKind, base_addr: int,
-                                 origin: Origin, count: int,
-                                 stride: int) -> None:
-        """Timed read run whose results are discarded (traffic accounting).
-
-        One bulk submission replaces ``count`` single requests; the
-        controller drives the whole run to admission with per-block
-        backpressure, so no retry closure per block is needed here."""
-        request = MemoryRequest.bulk(base_addr, False, origin, count, stride)
-        self.memctrl.submit_bulk(kind, request)
-
-    def _issue_bulk_write_traffic(self, kind: DeviceKind, base_addr: int,
-                                  origin: Origin, count: int,
-                                  stride: int) -> None:
-        """Timed payload-free write run (functional contents are placed
-        separately, so a late-serviced block can never clobber a younger
-        same-address demand write)."""
-        request = MemoryRequest.bulk(base_addr, True, origin, count, stride)
-        self.memctrl.submit_bulk(kind, request)
 
     def _handle_buffer_full(self, addr: int, origin: Origin, data,
                             callback, on_accept, reason: str) -> None:

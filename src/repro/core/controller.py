@@ -423,7 +423,9 @@ class ThyNVMController(EpochController):
             return
         self.memctrl.submit_or_wait(kind, request)
 
-    def _migration_serviced(self, _request: MemoryRequest) -> None:
+    def _migration_serviced(self, *_completion) -> None:
+        """One migration write block is durable: a single request's
+        callback ``(request)`` or a run's ``(run, index, payload)``."""
         self._migration_unserviced -= 1
 
     def _defer_write(self, addr: int, origin: Origin, data, callback,
@@ -694,27 +696,25 @@ class ThyNVMController(EpochController):
 
     def _page_writeback_jobs(self, pages: List[PageEntry],
                              dest: Dest) -> List[Job]:
-        """Start each page's checkpoint: its DRAM slot, block by block,
-        to the region ``dest`` names (the epoch plan's page stage and
-        the sub-epoch flush alike)."""
+        """Start each page's checkpoint: its DRAM slot, as one bulk copy
+        job, to the region ``dest`` names (the epoch plan's page stage
+        and the sub-epoch flush alike)."""
         layout = self.layout
-        block_bytes = self.config.block_bytes
         jobs: List[Job] = []
         for pe in pages:
             pe.dirty_ckpt = pe.dirty_active
             pe.dirty_active = set()
             pe.ckpt_in_progress = True
-            dst_base = layout.region_page_addr(dest.region(pe.stable_region),
-                                               pe.page)
-            src_base = layout.page_slot_addr(pe.dram_slot)
-            for offset in range(self.config.blocks_per_page):
-                jobs.append(Job(
-                    dst_kind=DeviceKind.NVM,
-                    dst_addr=dst_base + offset * block_bytes,
-                    origin=Origin.CHECKPOINT,
-                    src_kind=DeviceKind.DRAM,
-                    src_addr=src_base + offset * block_bytes,
-                ))
+            jobs.append(Job(
+                dst_kind=DeviceKind.NVM,
+                dst_addr=layout.region_page_addr(
+                    dest.region(pe.stable_region), pe.page),
+                origin=Origin.CHECKPOINT,
+                src_kind=DeviceKind.DRAM,
+                src_addr=layout.page_slot_addr(pe.dram_slot),
+                count=self.config.blocks_per_page,
+                stride=self.config.block_bytes,
+            ))
         return jobs
 
     def _table_persist_jobs(self, table, base_offset: int,
@@ -1037,14 +1037,15 @@ class ThyNVMController(EpochController):
         dram = self.memctrl.functional_store(DeviceKind.DRAM)
         nvm = self.memctrl.functional_store(DeviceKind.NVM)
         blocks = self.config.blocks_per_page
-        block_bytes = self.config.block_bytes
         payload = dram.read_run(src_base, blocks)
         nvm.write_run(dst_base, blocks, payload)
-        for offset in range(blocks):
-            step = offset * block_bytes
-            self._issue_fire_and_forget(
-                DeviceKind.NVM, dst_base + step, True, Origin.MIGRATION,
-                data=payload[step:step + block_bytes])
+        # One data-carrying run; each block counts as an outstanding
+        # migration write until it is serviced (_issue_fire_and_forget).
+        self._migration_unserviced += blocks
+        self._issue_bulk_write_traffic(
+            DeviceKind.NVM, dst_base, Origin.MIGRATION, blocks,
+            self.config.block_bytes, data=payload,
+            callback=self._migration_serviced)
         self._evicted_pages[pe.page] = (REGION_A, 2)
         self.ptt.remove(pe.page)
         self.layout.release_slot(pe.dram_slot)
@@ -1054,28 +1055,51 @@ class ThyNVMController(EpochController):
         """Gather a page's visible blocks into its new DRAM slot and
         consolidate scattered checkpoint copies into the Home Region.
 
-        The functional copy happens immediately (so reads are never
-        served from a half-built page); the bus traffic it would cost is
-        issued as asynchronous MIGRATION requests carrying the same
-        payloads.
+        The functional copy happens immediately, block by block (so
+        reads are never served from a half-built page).  The bus traffic
+        it costs is issued as asynchronous MIGRATION runs: one NVM read
+        run per maximal stretch of blocks read from the same region, and
+        one payload-free DRAM write run over the slot, each issued where
+        its first block's request stands in block order.  A region-A
+        block's home write stays a single request carrying its payload
+        (docs/PERFORMANCE.md, "ThyNVM page runs").
         """
         layout = self.layout
         dram = self.memctrl.functional_store(DeviceKind.DRAM)
         nvm = self.memctrl.functional_store(DeviceKind.NVM)
+        blocks = self.config.blocks_per_page
+        block_bytes = self.config.block_bytes
         first_block = self.addresses.blocks_in_page(pe.page).start
         active = self.epochs.active_epoch
-        for offset in range(self.config.blocks_per_page):
+        entries = [self.btt.lookup(first_block + offset)
+                   for offset in range(blocks)]
+        # Where each block is read from: its committed region, or None
+        # for live working data in a DRAM temp slot (no NVM read).
+        sources = [None if entry is not None and entry.temp_epochs
+                   else entry.stable_region if entry is not None
+                   else REGION_B for entry in entries]
+        for offset, entry in enumerate(entries):
             block = first_block + offset
             slot_addr = layout.slot_block_addr(pe.dram_slot, offset)
-            entry = self.btt.lookup(block)
-            if entry is not None and entry.temp_epochs:
+            region = sources[offset]
+            if region is not None and (offset == 0
+                                       or sources[offset - 1] != region):
+                end = offset + 1
+                while end < blocks and sources[end] == region:
+                    end += 1
+                self._issue_bulk_read_traffic(
+                    DeviceKind.NVM, layout.region_block_addr(region, block),
+                    Origin.MIGRATION, end - offset, block_bytes)
+            if offset == 0:
+                self._issue_bulk_write_traffic(
+                    DeviceKind.DRAM, layout.page_slot_addr(pe.dram_slot),
+                    Origin.MIGRATION, blocks, block_bytes)
+            if region is None:
                 # Live working data written by the active epoch: merge it
                 # and remember it is not yet checkpointed.
                 epoch = entry.newest_temp_epoch()
                 temp_addr = layout.temp_block_addr(block, epoch)
                 dram.copy_block(temp_addr, slot_addr)
-                self._issue_fire_and_forget(DeviceKind.DRAM, slot_addr, True,
-                                            Origin.MIGRATION)
                 pe.dirty_active.add(offset)
                 self._dirty_pages.add(pe.page)
                 entry.temp_epochs.clear()
@@ -1084,13 +1108,8 @@ class ThyNVMController(EpochController):
                 if entry is not None and entry.pending_epoch is not None:
                     raise ProtocolError(
                         f"block {block}: pending copy survived commit")
-                region = entry.stable_region if entry is not None else REGION_B
                 src = layout.region_block_addr(region, block)
                 dram.write(slot_addr, nvm.read(src))
-                self._issue_fire_and_forget(DeviceKind.NVM, src, False,
-                                            Origin.MIGRATION)
-                self._issue_fire_and_forget(DeviceKind.DRAM, slot_addr, True,
-                                            Origin.MIGRATION)
                 if entry is not None and region == REGION_A:
                     if entry.gc_state is not GcState.ISSUED:
                         self._issue_fire_and_forget(

@@ -10,7 +10,8 @@ or stalls it (journaling and shadow paging, Figure 3(a)).
   (the timer, overflow-forced ends, epoch extension);
 * ``start``/``stop``/``crash`` and the crashed gate on entry points;
 * loads (``read_block``, ``visible_block_bytes``) over the scheme's
-  :meth:`_read_location`, and the retrying write issue;
+  :meth:`_read_location`, the retrying write issue, and the bulk runs
+  every page copy's timed traffic travels as (docs/PERFORMANCE.md);
 * ``persist_barrier``, keyed on :attr:`committed_epoch`;
 * ``drain``, which forces :attr:`DRAIN_ROUNDS` epoch boundaries;
 * parking writes that found no buffer space, and replaying them.
@@ -161,6 +162,44 @@ class EpochController:
         self.memctrl.submit_or_wait(
             kind, MemoryRequest(hw_addr, True, origin, data=data,
                                 callback=callback), on_accept)
+
+    def _issue_bulk_read_traffic(self, kind: DeviceKind, base_addr: int,
+                                 origin: Origin, count: int,
+                                 stride: int) -> None:
+        """Timed read run whose results are discarded (traffic accounting).
+
+        One bulk submission replaces ``count`` single requests; the
+        controller drives the whole run to admission with per-block
+        backpressure, so no retry closure per block is needed here.  A
+        one-block run is the single request it stands for."""
+        if count == 1:
+            self.memctrl.submit_or_wait(
+                kind, MemoryRequest(base_addr, False, origin))
+            return
+        request = MemoryRequest.bulk(base_addr, False, origin, count, stride)
+        self.memctrl.submit_bulk(kind, request)
+
+    def _issue_bulk_write_traffic(self, kind: DeviceKind, base_addr: int,
+                                  origin: Origin, count: int, stride: int,
+                                  data: Optional[bytes] = None,
+                                  callback=None) -> None:
+        """Timed write run.
+
+        Payload-free by default: functional contents are placed
+        separately, so a late-serviced block can never clobber a younger
+        same-address demand write.  With ``data`` (the run's ``count``
+        blocks back to back) each block carries its own slice to the
+        store at its service, as a single write with a payload does.
+        ``callback(run, index, payload)`` fires as each block is
+        serviced."""
+        request = MemoryRequest.bulk(base_addr, True, origin, count, stride,
+                                     callback=callback,
+                                     carries_data=data is not None)
+        if data is not None:
+            size = self.config.block_bytes
+            request.block_data = [data[start:start + size]
+                                  for start in range(0, len(data), size)]
+        self.memctrl.submit_bulk(kind, request)
 
     def _park_write(self, addr: int, origin: Origin, data, callback,
                     on_accept) -> None:

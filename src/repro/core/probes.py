@@ -11,8 +11,9 @@ When no observer is installed (every normal run, every benchmark) a
 probe is a module lookup, an ``is None`` test and a return — cheap
 enough to leave compiled in.  Probe sites fire at epoch-boundary rate,
 never per memory *request* — the one per-block kind, ``bulk-write``,
-fires once per durable block of a checkpoint's bulk runs, which is
-still bounded by the dirty footprint of the epoch.
+fires once per durable block of a checkpoint's bulk runs (shadow
+paging's page flush, ThyNVM's page stage), which is still bounded by
+the dirty footprint of the epoch.
 
 The site kinds are declared once, in :data:`SITE_KINDS` (the crash-site
 taxonomy; see docs/FUZZING.md); ``repro fuzz sites`` prints it.
@@ -31,7 +32,8 @@ _observer: Optional[Observer] = None
 SITE_KINDS: Dict[str, str] = {
     "ckpt-start": "a checkpoint run begins issuing its staged jobs",
     "stage-done": "one checkpoint stage is fully serviced (detail: index)",
-    "bulk-write": "one block of a checkpoint bulk run becomes durable "
+    "bulk-write": "one block of a checkpoint bulk run (shadow paging's "
+                  "page flush, ThyNVM's page stage) becomes durable "
                   "(detail: stage index)",
     "table-persist": "a translation-table/log persist stage is planned "
                      "(detail: btt/ptt/log/pagemap)",

@@ -212,6 +212,13 @@ MUTANTS = (
         '    ("page", Dest.COMMITTED),\n',
         "thynvm/hotpage:s1:e2:b16@stage-done.2#2+0"),
     Mutant(
+        "page-writeback-run-short", "core/controller.py",
+        "                count=self.config.blocks_per_page,\n",
+        "                count=self.config.blocks_per_page - 1,\n",
+        "any ThyNVM page checkpoint: its run stops one block short, so "
+        "the page's last block is never written back "
+        "(test_thynvm_page_run_equivalence.py)"),
+    Mutant(
         "journal-home-before-log", "baselines/journaling.py",
         '    ("log", Dest.LOG),\n'
         '    ("home", Dest.HOME),\n',

@@ -6,10 +6,11 @@ Two pins between the batched array-core and the crash surface:
    block of a checkpoint bulk run) is fired from
    :class:`~repro.core.checkpoint.CheckpointRun`, and at runtime only in
    the data stage.
-2. **Core equivalence**: the per-block oracle
-   (:class:`~.per_block_shadow.PerBlockShadow`) changes *nothing*
-   about the probe census except that ``bulk-write`` never fires:
-   every other site fires the same number of times in both cores.
+2. **Core equivalence**: the per-block oracles
+   (:class:`~.per_block_shadow.PerBlockShadow` and
+   :class:`~.per_block_thynvm.PerBlockThyNVM`) change *nothing* about
+   the probe census except that ``bulk-write`` never fires: every other
+   site fires the same number of times in both cores.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.core.checkpoint import CheckpointRun
 from repro.fuzz.runner import census, fuzz_config
 
 from .per_block_shadow import PerBlockShadow
+from .per_block_thynvm import PerBlockThyNVM
 
 
 @pytest.fixture
@@ -36,6 +38,21 @@ def census_pair(monkeypatch):
     monkeypatch.setattr(systems, "ShadowPagingController", PerBlockShadow)
     reference = run()
     return bulk, reference
+
+
+@pytest.fixture
+def thynvm_census_pair(monkeypatch):
+    """Site censuses of the same page-only ThyNVM workload under the
+    shipped page runs and the per-block oracle."""
+
+    def run():
+        return census("thynvm_page_only", "sparse", seed=3, epochs=2,
+                      blocks=8)
+
+    runs = run()
+    monkeypatch.setattr(systems, "ThyNVMController", PerBlockThyNVM)
+    reference = run()
+    return runs, reference
 
 
 def test_bulk_write_probe_is_statically_anchored(census_pair):
@@ -63,3 +80,17 @@ def test_bulk_write_count_matches_flush_traffic(census_pair):
     count = bulk["bulk-write.1"]
     assert count > 0
     assert count % fuzz_config().blocks_per_page == 0
+
+
+def test_thynvm_reference_census_differs_only_in_bulk_write(
+        thynvm_census_pair):
+    runs, reference = thynvm_census_pair
+    assert not any(key.startswith("bulk-write") for key in reference)
+    assert {key: count for key, count in runs.items()
+            if not key.startswith("bulk-write")} == reference
+    # ThyNVM's page stage (index 2: temp, btt, page, ptt) is the only
+    # stage built as runs, and it writes whole pages.
+    fired = {key: count for key, count in runs.items()
+             if key.startswith("bulk-write")}
+    assert set(fired) == {"bulk-write.2"}
+    assert fired["bulk-write.2"] % fuzz_config().blocks_per_page == 0
