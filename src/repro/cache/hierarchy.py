@@ -63,34 +63,35 @@ class CacheHierarchy:
             self._pressure_callback()
 
     def access(self, block_addr: int, is_write: bool,
-               on_done: Callable[[], None]) -> None:
-        """One block-sized load or store; ``on_done`` fires at completion."""
+               on_done: Callable[[], None]) -> Optional[int]:
+        """One block-sized load or store.
+
+        A hit returns its latency: the caller's access completes that
+        many cycles from now, and ``on_done`` is not called.  A miss
+        returns None and calls ``on_done`` once the fill completes.
+        """
         if is_write:
             self._check_pressure()
         cfg = self.config
         if self.l1.lookup(block_addr, is_write):
             self._hits["L1"] += 1
-            self.engine.schedule(cfg.l1.hit_latency, on_done)
-            return
+            return cfg.l1.hit_latency
         if self.l2.lookup(block_addr):
             self._hits["L2"] += 1
-            latency = cfg.l1.hit_latency + cfg.l2.hit_latency
             self._fill(block_addr, into_l2=False, dirty=is_write)
-            self.engine.schedule(latency, on_done)
-            return
+            return cfg.l1.hit_latency + cfg.l2.hit_latency
         if self.l3.lookup(block_addr):
             self._hits["L3"] += 1
-            latency = (cfg.l1.hit_latency + cfg.l2.hit_latency
-                       + cfg.l3.hit_latency)
             self._fill(block_addr, into_l2=True, dirty=is_write)
-            self.engine.schedule(latency, on_done)
-            return
+            return (cfg.l1.hit_latency + cfg.l2.hit_latency
+                    + cfg.l3.hit_latency)
 
         self.stats.cache_misses.add("LLC")
         lookup_latency = (cfg.l1.hit_latency + cfg.l2.hit_latency
                           + cfg.l3.hit_latency)
         self.engine.schedule(lookup_latency, self._issue_miss, block_addr,
                              is_write, on_done)
+        return None
 
     def _issue_miss(self, block_addr: int, is_write: bool,
                     on_done: Callable[[], None]) -> None:

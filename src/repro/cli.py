@@ -395,6 +395,10 @@ def make_parser() -> argparse.ArgumentParser:
                              help="functional-store backend axis; mmap "
                                   "prices the file-backed store "
                                   "(docs/PERSISTENCE.md)")
+    perf_parser.add_argument("--repeat", type=int, default=1,
+                             help="run the matrix N times, each cell on a "
+                                  "fresh machine, and record the median, "
+                                  "min and max wall time (default 1)")
     perf_parser.add_argument("--json", action="store_true",
                              help="print the new entry as JSON on stdout")
     perf_parser.add_argument("--output", default="BENCH_PERF.json",
@@ -405,8 +409,8 @@ def make_parser() -> argparse.ArgumentParser:
                                   "the trajectory file")
     perf_parser.add_argument("--check", action="store_true",
                              help="emit a GitHub warning annotation when "
-                                  "events/sec drops below the baseline "
-                                  "by more than --threshold")
+                                  "events/sec drops more than --threshold "
+                                  "below the baseline's slowest repeat")
     perf_parser.add_argument("--threshold", type=float, default=0.25,
                              help="allowed fractional drop for --check "
                                   "(default 0.25)")

@@ -191,7 +191,15 @@ class EpochController:
         blocks back to back) each block carries its own slice to the
         store at its service, as a single write with a payload does.
         ``callback(run, index, payload)`` fires as each block is
-        serviced."""
+        serviced.  A one-block run is the single request it stands for,
+        with its payload, and its callback fires once at its service."""
+        if count == 1:
+            done = (None if callback is None
+                    else lambda request: callback(request, 0, None))
+            self.memctrl.submit_or_wait(
+                kind, MemoryRequest(base_addr, True, origin, data=data,
+                                    callback=done))
+            return
         request = MemoryRequest.bulk(base_addr, True, origin, count, stride,
                                      callback=callback,
                                      carries_data=data is not None)

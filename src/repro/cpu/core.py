@@ -37,8 +37,10 @@ class Core:
         self._block_shift = config.block_bytes.bit_length() - 1
         self.state = CpuState(config.cpu_state_bytes)
 
-        # Cursor of the load or store in flight: the next block number
-        # to issue, the last one it touches, and whether it stores.
+        # Cursor of the load or store in flight: whether one is, the
+        # next block number to issue, the last one it touches, and
+        # whether it stores.
+        self._in_access = False
         self._next_block = 0
         self._last_block = -1
         self._is_write = False
@@ -77,75 +79,107 @@ class Core:
         self.engine.schedule(0, self._step)
 
     def _step(self) -> None:
-        if (self._killed or self.finished or self._trace is None
-                or self._persist_waiting):
-            self._parked = True
-            return
-        self._at_boundary = True
-        if self._pending_stall is not None:
-            self._parked = True
-            self._enter_stall()
-            return
-        if self._stalled:
-            self._parked = True
-            return
-        try:
-            op = next(self._trace)
-        except StopIteration:
-            self.finished = True
-            if self._on_finish is not None:
-                self._on_finish()
-            return
-        self._execute(op)
+        """Run the core until it has to wait: the one op loop.
 
-    def _execute(self, op: Op) -> None:
-        self._at_boundary = False
-        kind = op[0]
-        if kind is _WORK:
-            self.stats.instructions += op[2]
-            self.state.version += 1           # CpuState.advance, inlined
-            self.engine.schedule(op[2], self._step)
-        elif kind is _TXN:
-            self.stats.transactions += 1
-            self.engine.schedule(0, self._step)
-        elif kind is _PERSIST:
-            self.stats.instructions += 1
-            # The persist instruction itself retires; the core then
-            # waits (at an instruction boundary, so epoch flushes can
-            # proceed) until the memory system reports durability.
-            self._at_boundary = True
-            if self.persist_port is None:
-                self.engine.schedule(1, self._step)
+        Only ever an engine callback, so each place where the core's
+        next event would be scheduled (after a WORK or TXN op, a cache
+        hit, a zero-size access, a retiring load or store) first asks
+        :meth:`Engine.advance` to fire that event in place, and carries
+        on when it does.  Each pass of the loop is one event of the
+        one-event-per-step core.  It fires mid-access (``_in_access``)
+        when a block's cache hit completes, or at an instruction
+        boundary.
+        """
+        engine = self.engine
+        while True:
+            if self._in_access:
+                block = self._next_block
+                if block > self._last_block:
+                    self._in_access = False
+                    delay = 1                   # the load or store retires
+                else:
+                    self._next_block = block + 1
+                    delay = self.hierarchy.access(block << self._block_shift,
+                                                  self._is_write,
+                                                  self._block_done)
+                    if delay is None:
+                        return                  # a miss: _block_done resumes
             else:
-                self._persist_waiting = True
-                self._parked = True
-                self.persist_port(self._persist_done)
-        else:
-            self.stats.instructions += 1
-            self.state.version += 1
-            size = op[2]
-            if size <= 0:
-                # Touches no block, yet still retires one cycle later.
-                self.engine.schedule(1, self._step)
+                if (self._killed or self.finished or self._trace is None
+                        or self._persist_waiting):
+                    self._parked = True
+                    return
+                self._at_boundary = True
+                if self._pending_stall is not None:
+                    self._parked = True
+                    self._enter_stall()
+                    return
+                if self._stalled:
+                    self._parked = True
+                    return
+                try:
+                    op = next(self._trace)
+                except StopIteration:
+                    self.finished = True
+                    if self._on_finish is not None:
+                        self._on_finish()
+                    return
+                self._at_boundary = False
+                kind = op[0]
+                if kind is _WORK:
+                    delay = op[2]
+                    self.stats.instructions += delay
+                    self.state.version += 1       # CpuState.advance, inlined
+                elif kind is _TXN:
+                    self.stats.transactions += 1
+                    delay = 0
+                elif kind is _PERSIST:
+                    self.stats.instructions += 1
+                    # The persist instruction itself retires; the core
+                    # then waits (at an instruction boundary, so epoch
+                    # flushes can proceed) until the memory system
+                    # reports durability.
+                    self._at_boundary = True
+                    if self.persist_port is not None:
+                        self._persist_waiting = True
+                        self._parked = True
+                        self.persist_port(self._persist_done)
+                        return
+                    delay = 1
+                else:
+                    self.stats.instructions += 1
+                    self.state.version += 1
+                    size = op[2]
+                    if size > 0:
+                        shift = self._block_shift
+                        addr = op[1]
+                        self._next_block = addr >> shift
+                        self._last_block = (addr + size - 1) >> shift
+                        self._is_write = kind is _WRITE
+                        self._in_access = True
+                        continue            # the first block, this cycle
+                    delay = 1               # touches no block, still retires
+            if not engine.advance(delay):
+                engine.schedule(delay, self._step)
                 return
-            shift = self._block_shift
-            addr = op[1]
-            first = addr >> shift
-            self._next_block = first + 1
-            self._last_block = (addr + size - 1) >> shift
-            self._is_write = is_write = kind is _WRITE
-            self.hierarchy.access(first << shift, is_write, self._block_done)
 
     def _block_done(self) -> None:
-        """A block of the access in flight completed: issue the next
-        one, or retire the load or store one cycle later."""
+        """A missed block's fill completed: issue the next block, or
+        retire the load or store one cycle later.
+
+        Called inside the memory system's completion, not as an engine
+        callback of its own, so it schedules the core's next event
+        rather than firing it in place."""
         block = self._next_block
         if block > self._last_block:
+            self._in_access = False
             self.engine.schedule(1, self._step)
             return
         self._next_block = block + 1
-        self.hierarchy.access(block << self._block_shift, self._is_write,
-                              self._block_done)
+        latency = self.hierarchy.access(block << self._block_shift,
+                                        self._is_write, self._block_done)
+        if latency is not None:
+            self.engine.schedule(latency, self._step)
 
     def _persist_done(self) -> None:
         if self._killed:

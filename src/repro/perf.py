@@ -13,7 +13,11 @@ between consecutive entries (CI's perf-smoke job warns on >25%).
 Wall-clock numbers are machine-dependent; the *simulated* outcomes
 (cycles, events, requests) in each cell are fully deterministic and
 double as a cheap cross-check that a perf run exercised the exact
-workload the previous entries did.
+workload the previous entries did.  ``--repeat N`` runs the matrix N
+times, each cell on a fresh machine every time, and records the
+median, min and max wall time per cell and for the totals; a repeat
+whose simulated outcome differs from the first is a determinism bug
+and raises :class:`~repro.errors.SimulationError`.
 """
 
 from __future__ import annotations
@@ -22,13 +26,15 @@ import dataclasses
 import json
 import platform
 import shutil
+import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .config import SystemConfig
+from .errors import SimulationError
 from .harness.experiments import MICRO_FOOTPRINT, experiment_config
 from .harness.runner import execute
 from .harness.systems import build_system
@@ -45,8 +51,12 @@ SCHEMA = {
     "description": "Simulator-core perf trajectory (see docs/PERFORMANCE.md). "
                    "Host events/sec on a fixed workload matrix; appended to "
                    "by `repro perf`, compared by CI's perf-smoke job.",
-    "schema": 1,
+    # 2: entries carry ``repeat`` and wall-time spreads (``wall_min``,
+    # ``wall_max``); an entry without ``repeat`` is one shot (repeat 1).
+    "schema": 2,
 }
+#: A cell's simulated outcome: equal on every repeat, or a bug.
+DETERMINISTIC = ("cycles", "events", "requests", "requests_issued")
 
 
 def _run_cell(workload: str, system: str, ops: int,
@@ -104,41 +114,76 @@ def _run_cell(workload: str, system: str, ops: int,
     }
 
 
+def _rates(row: Dict[str, object], walls: List[float]) -> None:
+    """Fill ``row``'s wall-time fields from its repeats' ``walls``: the
+    median is ``wall_seconds`` (and prices the rates), min and max the
+    spread."""
+    wall = statistics.median(walls)
+    row["wall_seconds"] = round(wall, 4)
+    row["wall_min"] = round(min(walls), 4)
+    row["wall_max"] = round(max(walls), 4)
+    row["events_per_sec"] = round(row["events"] / wall) if wall else 0
+    row["requests_per_sec"] = round(row["requests"] / wall) if wall else 0
+
+
 def run_perf(ops: Optional[int] = None, quick: bool = False,
              label: Optional[str] = None,
              systems: Iterable[str] = PERF_SYSTEMS,
              workloads: Iterable[str] = PERF_WORKLOADS,
-             store: str = "auto",
+             store: str = "auto", repeat: int = 1,
              progress=None) -> Dict[str, object]:
-    """Run the full matrix; return one trajectory entry."""
+    """Run the matrix ``repeat`` times; return one trajectory entry.
+
+    Every repeat runs every cell once, on a freshly built machine.
+    Raises :class:`SimulationError` when a repeat's cycles, events,
+    requests or requests issued differ from the first repeat's.
+    """
+    if repeat < 1:
+        raise SimulationError(f"--repeat must be at least 1, got {repeat}")
     ops = ops if ops is not None else (QUICK_OPS if quick else DEFAULT_OPS)
-    cells: List[Dict[str, object]] = []
     matrix = [(w, s) for w in workloads for s in systems]
-    for index, (workload, system) in enumerate(matrix):
-        cell = _run_cell(workload, system, ops, store=store)
-        cells.append(cell)
-        if progress is not None:
-            progress(index, len(matrix), cell)
-    wall = sum(cell["wall_seconds"] for cell in cells)
-    events = sum(cell["events"] for cell in cells)
-    requests = sum(cell["requests"] for cell in cells)
-    issued = sum(cell["requests_issued"] for cell in cells)
+    runs: List[List[Dict[str, object]]] = []
+    for round_index in range(repeat):
+        cells = []
+        for index, (workload, system) in enumerate(matrix):
+            cell = _run_cell(workload, system, ops, store=store)
+            cells.append(cell)
+            if progress is not None:
+                progress(round_index * len(matrix) + index,
+                         repeat * len(matrix), cell)
+        runs.append(cells)
+    first = runs[0]
+    for later in runs[1:]:
+        for cell, again in zip(first, later):
+            moved = [key for key in DETERMINISTIC if cell[key] != again[key]]
+            if moved:
+                raise SimulationError(
+                    f"perf cell {cell['workload']}/{cell['system']} is not "
+                    f"deterministic: {', '.join(moved)} differ between "
+                    f"repeats ({[cell[key] for key in moved]} vs "
+                    f"{[again[key] for key in moved]})")
+    cells = []
+    for position, cell in enumerate(first):
+        row = dict(cell)
+        _rates(row, [run[position]["wall_seconds"] for run in runs])
+        cells.append(row)
+    totals: Dict[str, object] = {
+        "events": sum(cell["events"] for cell in first),
+        "requests": sum(cell["requests"] for cell in first),
+        "requests_issued": sum(cell["requests_issued"] for cell in first),
+    }
+    _rates(totals, [sum(cell["wall_seconds"] for cell in run)
+                    for run in runs])
     return {
         "label": label or ("quick" if quick else "full"),
         "mode": "quick" if quick else "full",
         "store": store,
         "ops": ops,
+        "repeat": repeat,
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "python": platform.python_version(),
         "cells": cells,
-        "totals": {
-            "wall_seconds": round(wall, 4),
-            "events": events,
-            "requests": requests,
-            "requests_issued": issued,
-            "events_per_sec": round(events / wall) if wall else 0,
-            "requests_per_sec": round(requests / wall) if wall else 0,
-        },
+        "totals": totals,
     }
 
 
@@ -156,8 +201,10 @@ def load_trajectory(path: Path = DEFAULT_PATH) -> Dict[str, object]:
 
 def append_entry(entry: Dict[str, object],
                  path: Path = DEFAULT_PATH) -> Dict[str, object]:
-    """Append ``entry`` to the trajectory and rewrite the file."""
+    """Append ``entry`` to the trajectory and rewrite the file, at the
+    current schema (older entries read as one-shot, repeat 1)."""
     trajectory = load_trajectory(path)
+    trajectory.update(SCHEMA)
     trajectory.setdefault("entries", []).append(entry)
     with Path(path).open("w") as handle:
         json.dump(trajectory, handle, indent=2, sort_keys=True)
@@ -224,6 +271,29 @@ def compare_to_baseline(entry: Dict[str, object],
     return rate / base_rate if base_rate else float("inf")
 
 
+def rate_spread(entry: Dict[str, object]) -> Tuple[float, float]:
+    """An entry's (slowest, fastest) total events/sec over its repeats.
+
+    An entry recorded before repeats existed has no spread: both ends
+    are its one rate.
+    """
+    totals = entry["totals"]
+    if not totals.get("wall_min"):
+        rate = totals["events_per_sec"]
+        return rate, rate
+    events = totals["events"]
+    return events / totals["wall_max"], events / totals["wall_min"]
+
+
+def below_spread(entry: Dict[str, object], baseline: Dict[str, object],
+                 threshold: float) -> bool:
+    """Whether ``entry``'s median events/sec falls more than
+    ``threshold`` below the *slowest* repeat of ``baseline``: a drop
+    the baseline's own run-to-run spread does not explain."""
+    slowest, _fastest = rate_spread(baseline)
+    return entry["totals"]["events_per_sec"] < slowest * (1.0 - threshold)
+
+
 # --- CLI front-end (wired up in repro.cli) ------------------------------
 
 
@@ -237,7 +307,7 @@ def main(args) -> int:
 
     store = getattr(args, "store", None) or "auto"
     entry = run_perf(ops=args.ops, quick=args.quick, label=args.label,
-                     store=store,
+                     store=store, repeat=getattr(args, "repeat", 1),
                      progress=None if args.json else progress)
     path = Path(args.output)
     baseline = find_baseline(load_trajectory(path), mode=entry["mode"],
@@ -248,31 +318,36 @@ def main(args) -> int:
         print(json.dumps(entry, indent=2, sort_keys=True))
     else:
         totals = entry["totals"]
-        print(f"perf: {len(entry['cells'])} cells, "
+        print(f"perf: {len(entry['cells'])} cells x {entry['repeat']}, "
               f"{totals['events']:,d} events in "
-              f"{totals['wall_seconds']:.2f}s -> "
+              f"{totals['wall_seconds']:.2f}s "
+              f"({totals['wall_min']:.2f}-{totals['wall_max']:.2f}s) -> "
               f"{totals['events_per_sec']:,d} events/sec, "
               f"{totals['requests_per_sec']:,d} requests/sec")
         if baseline is not None:
             ratio = compare_to_baseline(entry, baseline)
+            slowest, fastest = rate_spread(baseline)
             print(f"perf: {ratio:.2f}x vs baseline "
                   f"{baseline.get('label')!r} "
                   f"({baseline['totals']['events_per_sec']:,d} events/sec, "
+                  f"{slowest:,.0f}-{fastest:,.0f} over "
+                  f"{baseline.get('repeat', 1)} repeat(s), "
                   f"recorded {baseline.get('recorded_at')})")
         else:
             print("perf: no comparable baseline (same mode/ops/matrix) "
                   f"in {path}")
 
     exit_code = 0
-    if args.check and baseline is not None:
-        ratio = compare_to_baseline(entry, baseline)
-        floor = 1.0 - args.threshold
-        if ratio < floor:
-            # GitHub Actions warning annotation: informational, the job
-            # itself stays green (wall clock on shared runners is noisy).
-            print(f"::warning title=perf-smoke::events/sec dropped to "
-                  f"{ratio:.2f}x of baseline {baseline.get('label')!r} "
-                  f"(floor {floor:.2f}x); see BENCH_PERF.json")
+    if args.check and baseline is not None and below_spread(
+            entry, baseline, args.threshold):
+        slowest, _fastest = rate_spread(baseline)
+        # GitHub Actions warning annotation: informational, the job
+        # itself stays green (wall clock on shared runners is noisy).
+        print(f"::warning title=perf-smoke::events/sec dropped to "
+              f"{entry['totals']['events_per_sec']:,d}, more than "
+              f"{args.threshold:.0%} below the slowest repeat of baseline "
+              f"{baseline.get('label')!r} ({slowest:,.0f}); "
+              f"see BENCH_PERF.json")
     if not args.no_write:
         append_entry(entry, path)
         print(f"perf: appended entry {entry['label']!r} to {path}",

@@ -26,16 +26,28 @@ Hot-path design notes (docs/PERFORMANCE.md):
   ``until``), never ticking through idle cycles.  The jump is clamped
   to be monotonic, preserving the invariant that :meth:`schedule_at`
   enforces eagerly — an event time in the past is rejected at the
-  offending call site, not when the heap later pops it.
+  offending call site, not when the heap later pops it;
+* a callback whose successor would be the next event popped anyway
+  fires it in place with :meth:`Engine.advance` instead of pushing it
+  ("Inline core steps").  The in-order core is its one caller: most of
+  its steps follow each other with nothing queued in between, so they
+  never touch the heap, yet each still counts as a fired event.  The
+  run loop keeps its ``until`` and its ``max_events`` budget on the
+  engine so that ``advance`` honours both; it counts events down that
+  budget instead of up a local counter.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import sys
 from typing import Callable, Optional
 
 from ..errors import SimulationError
+
+#: The budget of a run without ``max_events``; no run fires this many.
+_UNBOUNDED = sys.maxsize
 
 
 class Engine:
@@ -47,6 +59,11 @@ class Engine:
         self.now: int = 0
         self._events_fired = 0
         self._cancelled = 0         # cancelled entries still in the heap
+        # The current run's horizon and its budget: the events it may
+        # still complete before max_events stops it.  Outside a run the
+        # budget is 0, so advance() never fires anything there.
+        self._horizon = -1
+        self._left = 0
 
     # --- scheduling ----------------------------------------------------
 
@@ -111,7 +128,8 @@ class Engine:
 
         ``until`` stops the run once simulated time would pass that cycle
         (events at exactly ``until`` still fire).  ``max_events`` is a
-        safety valve for tests.  Returns the number of events fired.
+        safety valve for tests.  Returns the number of events fired,
+        those fired in place by :meth:`advance` included.
 
         Time only moves forward: the end-of-run skip to ``until`` is
         clamped so a bounded run can never rewind the clock below a
@@ -120,11 +138,15 @@ class Engine:
         fire them out of order).
 
         A callback that raises ends the run; :attr:`events_fired` still
-        counts every event that completed before it.
+        counts every event that completed before it.  A run started
+        from inside a callback fires and counts its own events and
+        hands the outer run its horizon and budget back when it ends.
         """
         horizon = math.inf if until is None else until
-        limit = math.inf if max_events is None else max_events
-        fired = 0
+        budget = _UNBOUNDED if max_events is None else max_events
+        outer = self._horizon, self._left
+        self._horizon = horizon
+        self._left = budget
         queue = self._queue
         pop = heapq.heappop
         now = self.now
@@ -140,14 +162,41 @@ class Engine:
                     raise SimulationError("event heap produced a past event")
                 self.now = now = time
                 callback(*args)
-                fired += 1
-                if fired >= limit:
-                    return fired
+                left = self._left - 1
+                self._left = left
+                if left <= 0:
+                    return budget - left
             if until is not None and until > self.now:
                 self.now = until
-            return fired
+            return budget - self._left
         finally:
-            self._events_fired += fired
+            self._events_fired += budget - self._left
+            self._horizon, self._left = outer
+
+    def advance(self, delay: int) -> bool:
+        """Fire the calling event's successor in place, if it is next.
+
+        A callback calls this as its last act, with the delay it would
+        otherwise :meth:`schedule` its successor at.  The successor
+        fires here, by moving the clock ``delay`` cycles and counting
+        the caller's event as fired, exactly when the run loop would pop
+        it next: no queued entry (cancelled ones included) is due at or
+        before that cycle, the cycle is within the run's ``until``, and
+        the run's ``max_events`` leaves room for it.  It takes no
+        sequence number, so queued entries keep their order.  Returns
+        False, and changes nothing, otherwise (and outside a run): the
+        caller then schedules its successor as usual, and a delay that
+        :meth:`schedule` rejects is refused here so that it raises there.
+        """
+        if type(delay) is not int or delay < 0 or self._left < 2:
+            return False
+        time = self.now + delay
+        queue = self._queue
+        if time > self._horizon or (queue and queue[0][0] <= time):
+            return False
+        self._left -= 1
+        self.now = time
+        return True
 
     def run_until_idle(self, max_events: int = 100_000_000) -> int:
         """Run until no events remain (bounded by ``max_events``)."""

@@ -30,6 +30,8 @@ import itertools
 from collections import deque
 from typing import Callable, List, Optional
 
+from ..errors import SimulationError
+
 
 class Origin(enum.Enum):
     """Who generated a memory request (drives the Fig. 8 breakdown)."""
@@ -122,7 +124,13 @@ class MemoryRequest:
         data-carrying write bulk (``carries_data``) allocates
         ``block_data``; the issuer fills slot ``i`` when it admits
         block ``i``, and the device stores it at that block's service.
+        A run has at least two blocks: the controller serves a
+        one-block request as a single, so a one-block "run" would lose
+        its payload and get a single's callback.
         """
+        if total < 2:
+            raise SimulationError(
+                f"a bulk run needs at least two blocks, got {total}")
         request = cls(addr, is_write, origin, callback=callback)
         request.total = total
         request.stride = stride

@@ -48,10 +48,32 @@ def setup():
 
 
 def _access(engine, hierarchy, addr, is_write):
+    """The cycle one access completes, driven as the core drives it: a
+    hit's latency is scheduled, a miss calls back after its fill."""
     done = []
-    hierarchy.access(addr, is_write, lambda: done.append(engine.now))
+    latency = hierarchy.access(addr, is_write, lambda: done.append(engine.now))
+    if latency is not None:
+        engine.schedule(latency, lambda: done.append(engine.now))
     engine.run_until_idle()
+    assert len(done) == 1
     return done[0]
+
+
+def test_hit_returns_latency_and_miss_calls_back(setup):
+    engine, hierarchy, _port, _stats, config = setup
+    calls = []
+    assert hierarchy.access(0, False, lambda: calls.append(engine.now)) \
+        is None
+    assert engine.pending_events == 1 and not calls
+    engine.run_until_idle()
+    assert len(calls) == 1
+    # The block now hits in L1: its latency comes back, nothing is
+    # scheduled and on_done is never called.
+    assert hierarchy.access(0, True, lambda: calls.append(engine.now)) \
+        == config.l1.hit_latency
+    assert engine.pending_events == 0
+    engine.run_until_idle()
+    assert len(calls) == 1
 
 
 def test_miss_goes_to_memory_then_hits(setup):

@@ -14,10 +14,11 @@ from repro.config import small_test_config
 from repro.core.controller import ThyNVMController
 from repro.core.epoch import Phase
 from repro.core.lifecycle import EpochController
+from repro.errors import SimulationError
 from repro.harness.systems import build_controller
-from repro.mem.controller import MemoryController
+from repro.mem.controller import DeviceKind, MemoryController
 from repro.sim.engine import Engine
-from repro.sim.request import Origin
+from repro.sim.request import MemoryRequest, Origin
 from repro.stats.collector import StatsCollector
 
 from ..conftest import MANUAL_EPOCHS, pad, run_until
@@ -87,3 +88,23 @@ def test_drain_completes_after_the_class_rounds(ctl):
 def test_drain_rounds_per_lifecycle():
     assert ThyNVMController.DRAIN_ROUNDS == 2
     assert StopTheWorldController.DRAIN_ROUNDS == 1
+
+
+def test_one_block_write_run_is_a_single_with_its_payload(ctl):
+    """A one-block write run (a page eviction or assembly when a page is
+    one block) is issued as the single request it stands for: the block
+    stores its payload and the callback fires once, as a run's block's
+    does.  ``MemoryRequest.bulk`` refuses to build a one-block run,
+    which the controller would serve as a single without its payload."""
+    calls = []
+    payload = pad(b"one block")
+    addr = 1000 * 64
+    ctl._issue_bulk_write_traffic(DeviceKind.NVM, addr, Origin.MIGRATION, 1,
+                                  64, data=payload,
+                                  callback=lambda *args: calls.append(args))
+    ctl.engine.run(until=ctl.engine.now + 100_000)
+    assert ctl.memctrl.functional_store(DeviceKind.NVM).read(addr) == payload
+    assert len(calls) == 1 and calls[0][1:] == (0, None)
+    with pytest.raises(SimulationError):
+        MemoryRequest.bulk(addr, True, Origin.MIGRATION, 1, 64,
+                           carries_data=True)

@@ -217,6 +217,31 @@ def test_kv_summary_matches_golden(cell, structure, system):
         f"issue the same block accesses and events (docs/PERFORMANCE.md)")
 
 
+#: Bound on heap pushes in the ``btree/thynvm`` key-value cell.  It
+#: fires 21,058 events; a core that pushes one event per step, hit and
+#: retire (``tests/property/scheduled_core.py``) schedules all 21,058,
+#: the shipped one 2,824 (docs/PERFORMANCE.md, "Inline core steps").
+KV_SCHEDULE_BOUND = 5_000
+
+
+def test_kv_core_steps_bypass_the_heap():
+    machine = build_system("thynvm", experiment_config())
+    engine = machine.engine
+    pushes = [0]
+    for name in ("schedule", "schedule_at"):
+        def counted(*args, real=getattr(engine, name)):
+            pushes[0] += 1
+            return real(*args)
+        setattr(engine, name, counted)
+    execute(machine, kv_trace(_kv_workload("btree")))
+    assert engine.events_fired == \
+        _load_kv_goldens()["runs"]["btree/thynvm"]["events"]
+    assert pushes[0] <= KV_SCHEDULE_BOUND, (
+        f"{pushes[0]} of {engine.events_fired} events went through the "
+        f"heap: the core's own steps must fire in place when nothing is "
+        f"queued ahead of them (Engine.advance)")
+
+
 @pytest.mark.parametrize("structure", [name for name, _, _ in KV_STORES])
 def test_kv_trace_matches_golden(structure):
     goldens = _load_kv_goldens()["trace_sha256"]

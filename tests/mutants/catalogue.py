@@ -149,6 +149,13 @@ MUTANTS = (
         "        self.engine.schedule(0, self._step)\n",
         "a persist barrier that completes while a checkpoint stall has "
         "already resumed the core: two instruction streams run"),
+    Mutant(
+        "advance-overtakes-same-cycle-event", "sim/engine.py",
+        "        if time > self._horizon or (queue and queue[0][0] <= time):\n",
+        "        if time > self._horizon or (queue and queue[0][0] < time):\n",
+        "a core step due at the cycle of an event queued before it fires "
+        "in place, ahead of that event "
+        "(test_inline_core_equivalence.py)"),
     # --- crash gates and bulk-run cursors -----------------------------
     Mutant(
         "read-after-crash-ungated", "core/lifecycle.py",

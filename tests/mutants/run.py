@@ -59,6 +59,7 @@ GOLDEN_STEP = (
     "tests/property/test_engine_props.py",
     "tests/property/test_bulk_core_equivalence.py",
     "tests/property/test_thynvm_page_run_equivalence.py",
+    "tests/property/test_inline_core_equivalence.py",
 )
 #: Seed of every property test's walk in the matrix's pytest runs.
 HYPOTHESIS_SEED = 0

@@ -1,16 +1,20 @@
 """The core's access path against the per-access list-and-lambda oracle.
 
-``Core._execute`` finds a load's or store's first and last block with
-two shifts, keeps the in-flight access's cursor on the core and hands
-the cache hierarchy the bound method ``_block_done`` as every block's
-continuation (docs/PERFORMANCE.md, "Front-end fast path").  The path it
-replaced built a block list per access and a fresh lambda per block;
-:class:`ListCore` below restores it.  Both cores run the same op
-sequences over a hierarchy that records every block access and answers
-after an address-dependent latency, with stalls and a power cut
-requested mid-access.  They must issue identical ``(cycle, block,
-is_write)`` accesses, fire the same number of events and leave the same
-``summary()``, or the fast path has changed simulated behaviour.
+The shipped ``Core._step`` finds a load's or store's first and last
+block with two shifts, keeps the in-flight access's cursor on the core,
+hands the cache hierarchy the bound method ``_block_done`` as a miss's
+continuation and fires each hit's completion in place when nothing is
+queued ahead of it (docs/PERFORMANCE.md, "Front-end fast path" and
+"Inline core steps").  The path the fast path replaced built a block
+list per access and a fresh lambda per block; :class:`ListCore` below
+restores it on top of the one-event-per-step oracle
+(``scheduled_core.py``).  Both cores run the same op sequences over a
+hierarchy that records every block access and answers a hit with its
+latency or a miss through its continuation after an address-dependent
+delay, with stalls and a power cut requested mid-access.  They must
+issue identical ``(cycle, block, is_write)`` accesses, fire the same
+number of events and leave the same ``summary()``, or the fast paths
+have changed simulated behaviour.
 """
 
 from __future__ import annotations
@@ -26,14 +30,16 @@ from repro.cpu.trace import Op, OpKind
 from repro.sim.engine import Engine
 from repro.stats.collector import StatsCollector
 
+from .scheduled_core import ScheduledCore
+
 BLOCK_BYTES = SystemConfig().block_bytes
 
 
-class ListCore(Core):
+class ListCore(ScheduledCore):
     """The in-order core with its per-access block list and lambda.
 
     Only loads and stores take the old path; every other op runs the
-    shipped ``_execute``."""
+    oracle's ``_execute``."""
 
     def _execute(self, op: Op) -> None:
         if op.kind is not OpKind.READ and op.kind is not OpKind.WRITE:
@@ -51,9 +57,12 @@ class ListCore(Core):
         if index >= len(blocks):
             self.engine.schedule(1, self._step)
             return
-        self.hierarchy.access(
-            blocks[index], is_write,
-            lambda: self._access_blocks(blocks, index + 1, is_write))
+        def done() -> None:
+            self._access_blocks(blocks, index + 1, is_write)
+
+        latency = self.hierarchy.access(blocks[index], is_write, done)
+        if latency is not None:
+            self.engine.schedule(latency, done)
 
 
 def _iter_blocks(addr: int, size: int):
@@ -73,7 +82,9 @@ def _latency(block_addr: int) -> int:
 
 class RecordingHierarchy:
     """Records each block access; runs the scripted action for its
-    index (the core is then mid-access) before answering."""
+    index (the core is then mid-access) before answering: a block
+    whose latency is 40 misses and calls back from an engine event,
+    any other hits and returns its latency."""
 
     def __init__(self, engine: Engine,
                  script: Dict[int, Callable[[], None]]) -> None:
@@ -87,7 +98,11 @@ class RecordingHierarchy:
         self.accesses.append((self.engine.now, block_addr, is_write))
         if action is not None:
             action()
-        self.engine.schedule(_latency(block_addr), on_done)
+        latency = _latency(block_addr)
+        if latency == 40:
+            self.engine.schedule(latency, on_done)
+            return None
+        return latency
 
 
 def _run(core_class, ops: List[Op], actions, persist_latency: int):

@@ -2,7 +2,7 @@
 
 from collections import OrderedDict
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cache.cache import Cache
@@ -37,12 +37,17 @@ class Program:
     that number, modulo how many exist, so it may hit a queued, a
     fired or an already-cancelled event.  Each event logs its number
     and the clock when it fires, then runs its follow-ups: schedule
-    a child event, cancel one, or raise :class:`CallbackError`, which
-    ends the run that fired it.
+    a child event, cancel one, start a nested run, or raise
+    :class:`CallbackError`, which ends the run that fired it.  Its last
+    follow-up may hand over to a successor through ``advance``: with
+    ``inline`` (the engine under test) the successor fires in place
+    when ``advance`` says so, and is scheduled otherwise; the model
+    schedules it either way.  The log records each ``advance`` verdict.
     """
 
-    def __init__(self, engine) -> None:
+    def __init__(self, engine, inline: bool) -> None:
         self.engine = engine
+        self.inline = inline
         self.handles = []
         self.log = []
 
@@ -53,8 +58,25 @@ class Program:
                 self.add(self.engine.schedule, step[1], step[2])
             elif step[0] == "cancel":
                 self.cancel(step[1])
+            elif step[0] == "run":
+                until = None if step[1] is None else self.engine.now + step[1]
+                self.log.append(("nested", self.engine.run(
+                    until=until, max_events=step[2])))
+            elif step[0] == "advance":
+                self.successor(step[1], step[2])
             else:
                 raise CallbackError(tag)
+
+    def successor(self, delay, follow) -> None:
+        fired = self.engine.advance(delay)
+        self.log.append(("advance", fired))
+        if fired and self.inline:
+            tag = len(self.handles)
+            # A handle of an event that already fired: cancel ignores it.
+            self.handles.append([None, None, None, ()])
+            self.fire(tag, follow)
+        else:
+            self.add(self.engine.schedule, delay, follow)
 
     def add(self, schedule, when, follow) -> None:
         self.handles.append(schedule(when, self.fire, len(self.handles),
@@ -78,6 +100,8 @@ class Program:
                 self.add(engine.schedule_at, when, op[2])
             elif kind == "cancel":
                 self.cancel(op[1])
+            elif kind == "advance":
+                return engine.advance(op[1])
             elif kind == "run":
                 until = None if op[1] is None else engine.now + op[1]
                 return engine.run(until=until, max_events=op[2])
@@ -88,26 +112,39 @@ class Program:
         return None
 
 
-# An event's follow-ups: children are scheduled with valid delays, so
-# every SimulationError a program raises comes from a top-level
-# operation; a callback raises only CallbackError.
-FOLLOW = st.recursive(
-    st.just(()),
-    lambda children: st.lists(st.one_of(
+# An event's follow-ups.  Children are scheduled with valid delays; an
+# ``advance`` (always the last follow-up) may carry one that schedule
+# rejects, which advance must refuse so that the schedule raises.
+def _follow(children):
+    steps = st.lists(st.one_of(
         st.tuples(st.just("schedule"), st.integers(0, 8), children),
         st.tuples(st.just("cancel"), st.integers(0, 63)),
-        st.tuples(st.just("raise"))),
-        max_size=2).map(tuple),
-    max_leaves=6)
+        st.tuples(st.just("run"), st.one_of(st.none(), st.integers(0, 8)),
+                  st.one_of(st.none(), st.integers(1, 4))),
+        st.tuples(st.just("raise"))), max_size=3)
+    advance = st.tuples(st.tuples(
+        st.just("advance"),
+        st.one_of(st.integers(0, 8), st.integers(0, 8),
+                  st.sampled_from([-1, 1.0, True])),
+        children))
+    tail = st.one_of(advance, advance, st.just(()))
+    return st.tuples(steps, tail).map(
+        lambda parts: tuple(parts[0]) + parts[1])
+
+
+FOLLOW = st.recursive(st.just(()), _follow, max_leaves=8)
+# A top-level event always gets follow-ups of its own.
+TOP_FOLLOW = _follow(FOLLOW)
 
 OPERATION = st.one_of(
     st.tuples(st.just("schedule"),
               st.one_of(st.integers(-2, 30), st.sampled_from([1.0, True])),
-              FOLLOW),
+              TOP_FOLLOW),
     st.tuples(st.just("schedule_at"),
               st.one_of(st.integers(-3, 30), st.sampled_from([2.0, False])),
-              FOLLOW),
+              TOP_FOLLOW),
     st.tuples(st.just("cancel"), st.integers(0, 63)),
+    st.tuples(st.just("advance"), st.integers(0, 8)),
     st.tuples(st.just("run"), st.one_of(st.none(), st.integers(-5, 30)),
               st.one_of(st.none(), st.integers(1, 6))),
     st.tuples(st.just("idle"), st.integers(1, 12)),
@@ -116,8 +153,12 @@ OPERATION = st.one_of(
 
 @given(st.lists(OPERATION, max_size=40))
 @settings(max_examples=300, deadline=None)
+# A cancelled entry still queued at the target cycle refuses advance.
+@example(program=[("schedule", 0, (
+    ("schedule", 0, (("cancel", 2), ("run", None, 1), ("advance", 1, ()))),
+    ("schedule", 1, ()), ("advance", 0, ())))])
 def test_engine_matches_sorted_list_reference(program):
-    heap, model = Program(Engine()), Program(ListEngine())
+    heap, model = Program(Engine(), True), Program(ListEngine(), False)
     for op in program:
         assert heap.step(op) == model.step(op), op
         assert heap.log == model.log

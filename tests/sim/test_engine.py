@@ -220,3 +220,65 @@ def test_events_fired_counts_events_before_a_raising_callback():
     assert (engine.events_fired, engine.now) == (1, 2)
     assert engine.run() == 1
     assert engine.events_fired == 2
+
+
+def test_advance_fires_the_successor_only_when_it_is_next():
+    engine = Engine()
+    verdicts = []
+
+    def step():
+        # A queued event at the target cycle goes first: refused.
+        engine.schedule(3, lambda: None)
+        verdicts.append(engine.advance(3))
+        # Strictly before the queue head: fired in place, and counted.
+        verdicts.append(engine.advance(2))
+        verdicts.append(engine.now)
+
+    engine.schedule(0, step)
+    assert engine.advance(0) is False          # outside a run
+    assert engine.run() == 3                   # step, its successor, the no-op
+    assert verdicts == [False, True, 2]
+    assert engine.events_fired == 3
+
+
+def test_advance_respects_until_and_max_events():
+    engine = Engine()
+    verdicts = []
+
+    def step():
+        verdicts.append(engine.advance(6))     # past until=5
+        verdicts.append(engine.advance(1))     # room for one more event
+        verdicts.append(engine.advance(1))     # max_events=2 reached
+
+    engine.schedule(0, step)
+    assert engine.run(until=5, max_events=2) == 2
+    assert verdicts == [False, True, False]
+    assert engine.now == 1
+
+
+def test_advance_in_a_nested_run_keeps_the_outer_count_and_its_own_until():
+    engine = Engine()
+    log = []
+
+    def late():
+        log.append(("late", engine.now))
+
+    def inner():
+        log.append(("inner", engine.now))
+        log.append(("inner-advance", engine.advance(5)))   # past until=2
+        engine.schedule(5, late)
+
+    def outer():
+        log.append(("outer-advance", engine.advance(0)))
+        engine.schedule(1, inner)
+        log.append(("nested", engine.run(until=engine.now + 2)))
+        log.append(("outer-advance", engine.advance(1)))
+
+    engine.schedule(0, outer)
+    # outer, its in-place successor, that one's in-place successor and
+    # late; the nested run's one event counts for the nested run only.
+    assert engine.run() == 4
+    assert engine.events_fired == 5
+    assert log == [("outer-advance", True), ("inner", 1),
+                   ("inner-advance", False), ("nested", 1),
+                   ("outer-advance", True), ("late", 6)]
